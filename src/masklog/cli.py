@@ -327,16 +327,13 @@ def run_train(opts):
         seed=opts["seed"],
     )
     _, seqs, _ = _load_clean_seqs(opts["in_"], vocab, opts["max_len"])
-    t0 = time.time()
     ckpt = train(seqs, model_cfg, train_cfg, vocab_hash=vocab.digest())
-    wall = time.time() - t0
     save_checkpoint(ckpt, opts["out"])
     log_path = opts.get("log") or opts["out"] + ".log.tsv"
     with open(log_path, "w", encoding="utf-8", newline="\n") as f:
         f.write("epoch\tmean_loss\twall_time_s\n")
-        per_epoch = wall / len(ckpt.history)
-        for i, loss in enumerate(ckpt.history):
-            f.write(f"{i}\t{_fmt(loss)}\t{per_epoch:.3f}\n")
+        for i, (loss, secs) in enumerate(zip(ckpt.history, ckpt.epoch_seconds)):
+            f.write(f"{i}\t{_fmt(loss)}\t{secs:.3f}\n")
     return [opts["in_"], opts["vocab"]], [opts["out"]], [log_path]
 
 

@@ -4,6 +4,12 @@ Forward pass, loss, and exact reverse-mode gradients are written by hand over
 numpy. Parameter tensors are stored as float32 (the checkpoint payload dtype)
 while all arithmetic runs in float64: save/load round-trips stay bit-exact and
 finite-difference gradient checks stay tight.
+
+The loss and the anomaly score read the head's distribution only at masked
+positions. When a caller passes those positions, the encoder output is
+gathered to the masked (row, position) pairs before the final layer norm, so
+the final LN, the |V|-wide head and the softmax run on n_masked rows only.
+Without them, full per-position distributions are formed.
 """
 
 from __future__ import annotations
@@ -87,9 +93,13 @@ class Parameters:
 
 @dataclass(eq=False)
 class ForwardOutput:
-    """Per-position vocabulary logits and their softmax probabilities."""
+    """Vocabulary logits and their softmax probabilities.
 
-    logits: np.ndarray  # [batch, padded_len, vocab]
+    Shape [batch, padded_len, vocab] for every position, or [n_masked, vocab]
+    when the forward pass was given masked positions.
+    """
+
+    logits: np.ndarray
     probabilities: np.ndarray  # same shape, rows sum to 1
 
 
@@ -181,8 +191,9 @@ def _ln_forward(x, gain, offset):
 
 def _ln_backward(dy, gain, cache):
     xhat, inv = cache
-    dgain = (dy * xhat).sum((0, 1))
-    doffset = dy.sum((0, 1))
+    rows = tuple(range(dy.ndim - 1))
+    dgain = (dy * xhat).sum(rows)
+    doffset = dy.sum(rows)
     dxh = dy * gain
     dx = inv * (dxh - dxh.mean(-1, keepdims=True) - xhat * (dxh * xhat).mean(-1, keepdims=True))
     return dx, dgain, doffset
@@ -204,9 +215,10 @@ def _softmax(z):
     return e / e.sum(-1, keepdims=True)
 
 
-def _forward_cached(params: Parameters, ids, lengths, train_mode: bool, seed: int):
+def _forward_cached(params: Parameters, ids, lengths, train_mode: bool, seed: int, coords=None):
+    """Forward pass keeping what the backward needs; `coords` = (rows, positions) to gather."""
     cfg = params.config
-    w = {k: v.astype(np.float64) for k, v in params.items()}
+    w = {k: v.astype(np.float64, copy=False) for k, v in params.items()}
     n_batch, padded = ids.shape
     n_heads = cfg.n_heads
     scale = 1.0 / math.sqrt(cfg.d_model // n_heads)
@@ -264,7 +276,8 @@ def _forward_cached(params: Parameters, ids, lengths, train_mode: bool, seed: in
         x = x + f2
         cache["layers"].append(lc)
 
-    cache["x_top"] = x
+    if coords is not None:
+        x = x[coords]  # [n_masked, d]: only these rows reach the head
     hf, cache["final_ln"] = _ln_forward(x, w["final_ln.gain"], w["final_ln.offset"])
     cache["hf"] = hf
     logits = hf @ w["out.w"] + w["out.b"]
@@ -275,16 +288,28 @@ def _forward_cached(params: Parameters, ids, lengths, train_mode: bool, seed: in
 
 
 def forward(
-    params: Parameters, batch: list[TokenSequence], train_mode: bool = False, seed: int = 0
+    params: Parameters,
+    batch: list[TokenSequence],
+    train_mode: bool = False,
+    seed: int = 0,
+    mask_positions=None,
 ) -> ForwardOutput:
-    """Run the encoder stack on a padded batch and emit per-position distributions.
+    """Run the encoder stack on a padded batch and emit vocabulary distributions.
+
+    Without mask_positions the output holds a distribution for every
+    position, [batch, padded_len, vocab]. With mask_positions (one list of
+    positions per sequence) the final LN, head and softmax run only on those
+    (row, position) pairs, and the output is [n_masked, vocab] in row-major
+    order of the pairs as given.
 
     Padding positions are excluded from attention, so a sequence's outputs do
     not depend on what the padding slots hold or on its batch companions.
     Dropout is active only in train_mode and is fully determined by `seed`.
+    Weights already held as float64 are used without a copy.
     """
     ids, lengths = _stack_batch(batch, params.config)
-    cache = _forward_cached(params, ids, lengths, train_mode, seed)
+    coords = None if mask_positions is None else _masked_coords(mask_positions, lengths)
+    cache = _forward_cached(params, ids, lengths, train_mode, seed, coords)
     logits = cache["logits"]
     return ForwardOutput(logits=logits, probabilities=_softmax(logits))
 
@@ -303,22 +328,33 @@ def _masked_coords(mask_positions, lengths):
     return np.array(bs, dtype=np.int64), np.array(ps, dtype=np.int64)
 
 
-def _loss_from_logits(logits, targets, bs, ps):
+def _target_ids(targets, batch_shape, bs, ps):
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape[0] != logits.shape[0] or targets.shape[1] < logits.shape[1]:
+    if targets.shape[0] != batch_shape[0] or targets.shape[1] < batch_shape[1]:
         raise ShapeMismatch("targets do not cover the batch")
+    return targets[bs, ps]
+
+
+def _masked_loss(logits, tgt):
+    """Mean NLL of tgt under the rows of logits [n_masked, vocab], plus their softmax.
+
+    One exp pass gives both the log-sum-exp and the probabilities.
+    """
     m = logits.max(-1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(-1, keepdims=True))
-    tgt = targets[bs, ps]
-    nll = lse[bs, ps, 0] - logits[bs, ps, tgt]
-    return float(nll.mean()), tgt
+    e = np.exp(logits - m)
+    total = e.sum(-1, keepdims=True)
+    nll = m[:, 0] + np.log(total[:, 0]) - logits[np.arange(len(tgt)), tgt]
+    return float(nll.mean()), e / total
 
 
 def mlm_loss(out: ForwardOutput, targets, mask_positions) -> float:
-    """Mean negative log-probability (natural log) of the true tokens at masked positions."""
-    lengths = np.full(out.logits.shape[0], out.logits.shape[1], dtype=np.int64)
-    bs, ps = _masked_coords(mask_positions, lengths)
-    loss, _ = _loss_from_logits(out.logits, targets, bs, ps)
+    """Mean negative log-probability (natural log) of the true tokens at masked positions.
+
+    `out` holds full per-position logits, as `forward` returns without mask_positions.
+    """
+    n_batch, padded, _ = out.logits.shape
+    bs, ps = _masked_coords(mask_positions, np.full(n_batch, padded, dtype=np.int64))
+    loss, _ = _masked_loss(out.logits[bs, ps], _target_ids(targets, (n_batch, padded), bs, ps))
     return loss
 
 
@@ -332,30 +368,33 @@ def loss_and_gradients(
 ):
     """Loss plus exact gradients for every parameter tensor, in one pass.
 
-    When train_mode is on, the dropout masks drawn for the loss are the same
-    ones the gradients are propagated through.
+    The final LN, head and softmax, forward and backward, run only on the
+    masked (row, position) pairs; their input gradient is scattered back
+    with accumulation, so a position listed twice counts twice, as it does
+    in the loss. When train_mode is on, the dropout masks drawn for the loss
+    are the same ones the gradients are propagated through.
     """
     cfg = params.config
     ids, lengths = _stack_batch(batch, cfg)
     bs, ps = _masked_coords(mask_positions, lengths)
-    cache = _forward_cached(params, ids, lengths, train_mode, seed)
+    tgt = _target_ids(targets, ids.shape, bs, ps)
+    cache = _forward_cached(params, ids, lengths, train_mode, seed, (bs, ps))
     w = cache["weights"]
-    logits = cache["logits"]
-    loss, tgt = _loss_from_logits(logits, targets, bs, ps)
+    loss, probs = _masked_loss(cache["logits"], tgt)
 
     n_masked = len(bs)
-    probs = _softmax(logits)
-    dlogits = np.zeros_like(logits)
-    dlogits[bs, ps, :] = probs[bs, ps, :] / n_masked
-    dlogits[bs, ps, tgt] -= 1.0 / n_masked
+    dlogits = probs / n_masked  # [n_masked, vocab]
+    dlogits[np.arange(n_masked), tgt] -= 1.0 / n_masked
 
     g: dict[str, np.ndarray] = {}
-    g["out.w"] = _contract_bl(cache["hf"], dlogits)
-    g["out.b"] = dlogits.sum((0, 1))
+    g["out.w"] = cache["hf"].T @ dlogits
+    g["out.b"] = dlogits.sum(0)
     dhf = dlogits @ w["out.w"].T
-    dx, g["final_ln.gain"], g["final_ln.offset"] = _ln_backward(
+    dtop, g["final_ln.gain"], g["final_ln.offset"] = _ln_backward(
         dhf, w["final_ln.gain"], cache["final_ln"]
     )
+    dx = np.zeros(ids.shape + (cfg.d_model,))
+    np.add.at(dx, (bs, ps), dtop)
 
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
     for i in reversed(range(cfg.n_layers)):

@@ -59,15 +59,20 @@ class HeatmapMatrix:
 
 
 def _true_token_probs(ckpt: Checkpoint, plans) -> list:
-    """One batched forward over a log's masked variants; reads P(true | context)."""
-    out = forward(ckpt.params, [p.masked_sequence for p in plans])
-    probs = out.probabilities
-    pairs = []
-    for row, plan in enumerate(plans):
-        for j, pos in enumerate(plan.masked_indices):
-            p = float(probs[row, pos, int(plan.original_ids[j])])
-            pairs.append((int(pos), max(p, PROB_FLOOR)))
-    return pairs
+    """One batched forward over a log's masked variants; reads P(true | context).
+
+    The head runs only at the masked positions, and the weights are the
+    checkpoint's float64 copy, cast once per checkpoint.
+    """
+    out = forward(
+        ckpt.float64_params(),
+        [p.masked_sequence for p in plans],
+        mask_positions=[p.masked_indices for p in plans],
+    )
+    positions = [pos for p in plans for pos in p.masked_indices]
+    true_ids = np.concatenate([p.original_ids for p in plans])
+    probs = out.probabilities[np.arange(len(positions)), true_ids]
+    return [(pos, max(float(prob), PROB_FLOOR)) for pos, prob in zip(positions, probs)]
 
 
 def score_log(

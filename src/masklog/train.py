@@ -8,6 +8,7 @@ whole run is a pure function of its inputs and seed.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,7 @@ class Checkpoint:
     train_config: TrainConfig
     final_loss: float
     history: list[float] = field(default_factory=list)
+    epoch_seconds: list[float] = field(default_factory=list)  # wall time per epoch; not saved
 
     @property
     def model_config(self) -> ModelConfig:
@@ -68,6 +70,20 @@ class Checkpoint:
         if cached is None:
             cached = params_digest(self.params)
             object.__setattr__(self, "_digest", cached)
+        return cached
+
+    def float64_params(self) -> Parameters:
+        """The parameters cast to float64, the forward pass's dtype (cached per instance).
+
+        Scoring reads this copy so that it does not re-cast every weight on
+        every forward call. Training updates its own `Parameters`, never this copy.
+        """
+        cached = getattr(self, "_float64_params", None)
+        if cached is None:
+            cached = Parameters(
+                self.params.config, {k: v.astype(np.float64) for k, v in self.params.items()}
+            )
+            object.__setattr__(self, "_float64_params", cached)
         return cached
 
 
@@ -105,11 +121,15 @@ class _AdamW:
             tensors[name] = (w - update).astype(np.float32)
 
 
-def _batch_step_inputs(corpus, indices, mask_fraction, seed, epoch):
+def _batch_step_inputs(corpus, indices, mask_fraction, seed_prefix: tuple):
+    """Masked inputs, masked positions and targets for one batch of corpus indices.
+
+    Each sequence's mask plan is seeded by `seed_prefix` plus its corpus index.
+    """
     seqs, positions, targets_rows = [], [], []
     for idx in indices:
         seq = corpus[idx]
-        plan = plan_random(seq, mask_fraction, rng_seed=(seed, _STREAM_MASK, epoch, int(idx)))
+        plan = plan_random(seq, mask_fraction, rng_seed=(*seed_prefix, int(idx)))
         seqs.append(plan.masked_sequence)
         positions.append(plan.masked_indices)
         targets_rows.append(seq.ids)
@@ -129,15 +149,17 @@ def train(corpus_train, model_cfg: ModelConfig, cfg: TrainConfig, vocab_hash: st
     params = init_params(model_cfg, cfg.seed)
     opt = _AdamW(params.tensors, cfg)
     history: list[float] = []
+    epoch_seconds: list[float] = []
     n = len(corpus)
     for epoch in range(cfg.epochs):
+        t0 = time.perf_counter()
         order = np.random.default_rng((cfg.seed, _STREAM_SHUFFLE, epoch)).permutation(n)
         nll_sum = 0.0
         masked_sum = 0
         for start in range(0, n, cfg.batch_size):
             indices = order[start : start + cfg.batch_size]
             seqs, positions, targets = _batch_step_inputs(
-                corpus, indices, cfg.mask_fraction, cfg.seed, epoch
+                corpus, indices, cfg.mask_fraction, (cfg.seed, _STREAM_MASK, epoch)
             )
             loss, grads = loss_and_gradients(
                 params,
@@ -154,12 +176,14 @@ def train(corpus_train, model_cfg: ModelConfig, cfg: TrainConfig, vocab_hash: st
             masked_sum += n_masked
             opt.apply(params.tensors, grads)
         history.append(nll_sum / masked_sum)
+        epoch_seconds.append(time.perf_counter() - t0)
     return Checkpoint(
         params=params,
         vocab_hash=vocab_hash,
         train_config=cfg,
         final_loss=history[-1],
         history=history,
+        epoch_seconds=epoch_seconds,
     )
 
 
@@ -170,19 +194,17 @@ def evaluate_loss(ckpt: Checkpoint, corpus, seed: int, vocab_hash: str | None = 
     corpus = list(corpus)
     if not corpus:
         raise EmptyCorpus("evaluation corpus is empty")
-    fraction = ckpt.train_config.mask_fraction
     nll_sum = 0.0
     masked_sum = 0
     bs = ckpt.train_config.batch_size
     for start in range(0, len(corpus), bs):
-        chunk = corpus[start : start + bs]
-        seqs, positions, targets_rows = [], [], []
-        for j, seq in enumerate(chunk):
-            plan = plan_random(seq, fraction, rng_seed=(seed, _STREAM_EVAL_MASK, start + j))
-            seqs.append(plan.masked_sequence)
-            positions.append(plan.masked_indices)
-            targets_rows.append(seq.ids)
-        loss, _ = loss_and_gradients(ckpt.params, seqs, np.stack(targets_rows), positions)
+        seqs, positions, targets = _batch_step_inputs(
+            corpus,
+            range(start, min(start + bs, len(corpus))),
+            ckpt.train_config.mask_fraction,
+            (seed, _STREAM_EVAL_MASK),
+        )
+        loss, _ = loss_and_gradients(ckpt.params, seqs, targets, positions)
         n_masked = sum(len(p) for p in positions)
         nll_sum += loss * n_masked
         masked_sum += n_masked

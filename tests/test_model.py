@@ -289,6 +289,46 @@ class TestBackward:
         assert checked == 8
 
 
+REPEATED_POSITIONS = [[0, 2, 2], [1, 4, 7], [2]]  # row 0 lists position 2 twice
+
+
+class TestGatheredHead:
+    """loss_and_gradients runs the final LN, head and softmax on masked rows only;
+    the full per-position forward followed by mlm_loss is the reference."""
+
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.25])
+    @pytest.mark.parametrize("repeated", [False, True])
+    def test_loss_matches_full_forward(self, tiny_batch, dropout_rate, repeated):
+        batch, targets, positions = tiny_batch
+        positions = REPEATED_POSITIONS if repeated else positions
+        cfg = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=2, d_ff=24, max_len=8,
+                          dropout_rate=dropout_rate)
+        params = init_params(cfg, 4)
+        for train_mode, seed in ((False, 0), (True, 31)):
+            loss, _ = loss_and_gradients(params, batch, targets, positions, train_mode=train_mode, seed=seed)
+            full = mlm_loss(forward(params, batch, train_mode=train_mode, seed=seed), targets, positions)
+            assert abs(loss - full) <= 1e-12
+
+    def test_repeated_position_gradients_match_finite_differences(self, tiny_cfg, tiny_batch):
+        batch, targets, _ = tiny_batch
+        params = init_params(tiny_cfg, 3)
+        grads = backward(params, batch, targets, REPEATED_POSITIONS)
+        d = tiny_cfg.d_model
+        repeated_target = int(targets[0, 2])
+        repeated_token = int(batch[0].ids[2])
+        coords = {
+            "out.w": [k * tiny_cfg.vocab_size + repeated_target for k in range(3)],
+            "final_ln.gain": [0, 1, 2],
+            "embed.token": [repeated_token * d + k for k in range(3)],
+        }
+        for name, indices in coords.items():
+            for idx in indices:
+                fd = finite_difference(params, batch, targets, REPEATED_POSITIONS, name, idx)
+                a = grads[name].reshape(-1)[idx]
+                assert abs(fd) > 1e-4, name  # well above the finite-difference resolution floor
+                assert abs(a - fd) / max(abs(a), abs(fd)) < 1e-4, name
+
+
 class TestLossDecreases:
     def test_fifty_steps_cut_loss_by_twenty_percent(self):
         # 32 template-structured logs (8 copies of 4 patterns), one batch per step

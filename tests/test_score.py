@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from masklog.masking import TOKEN_BY_TOKEN, MaskingStrategy, plan_token_by_token
+from masklog.masking import TOKEN_BY_TOKEN, MaskingStrategy, plan_random, plan_token_by_token
 from masklog.model import forward
 from masklog.score import (
     PROB_FLOOR,
@@ -27,6 +27,16 @@ def brute_force_token_score(ckpt, seq):
         p = float(out.probabilities[0, pos, int(plan.original_ids[0])])
         log_sum += math.log(max(p, PROB_FLOOR))
     return -log_sum / seq.length
+
+
+def full_forward_probs(ckpt, plans):
+    """Reference: each variant's full per-position forward, read at its masked cells."""
+    pairs = []
+    for plan in plans:
+        probs = forward(ckpt.params, [plan.masked_sequence]).probabilities[0]
+        for pos, true_id in zip(plan.masked_indices, plan.original_ids):
+            pairs.append((pos, max(float(probs[pos, true_id]), PROB_FLOOR)))
+    return pairs
 
 
 class TestScoreLog:
@@ -62,6 +72,31 @@ class TestScoreLog:
         assert r.masked_count == 4 * k
         assert r.repeats == 4
         assert r.score == pytest.approx(recompute_score(r.token_probs), abs=1e-9)
+
+    @pytest.mark.parametrize("strategy", [RANDOM15, TOKEN], ids=["random", "token"])
+    def test_gathered_probs_match_full_forward(self, toy_model, strategy):
+        ckpt = toy_model["checkpoint"]
+        for seq in toy_model["seqs"][:4]:
+            report = score_log(ckpt, seq, strategy, seed=5, repeats=3)
+            if strategy.kind == TOKEN_BY_TOKEN:
+                plans = plan_token_by_token(seq)
+            else:
+                plans = [plan_random(seq, strategy.fraction, rng_seed=(5, r)) for r in range(3)]
+            expected = full_forward_probs(ckpt, plans)
+            assert [pos for pos, _ in report.token_probs] == [pos for pos, _ in expected]
+            for (_, got), (_, want) in zip(report.token_probs, expected):
+                assert abs(got - want) <= 1e-12
+
+    def test_float64_weights_cast_once_and_exact(self, toy_model):
+        ckpt = toy_model["checkpoint"]
+        cached = ckpt.float64_params()
+        score_log(ckpt, toy_model["seqs"][0], RANDOM15)
+        assert ckpt.float64_params() is cached
+        assert cached.config == ckpt.params.config
+        assert set(cached.tensors) == set(ckpt.params.tensors)
+        for name, tensor in ckpt.params.items():
+            assert cached[name].dtype == np.float64
+            assert np.array_equal(cached[name], tensor)
 
     def test_monotone_in_probabilities(self):
         probs = [(0, 0.9), (1, 0.5), (2, 0.8)]

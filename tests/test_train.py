@@ -46,6 +46,7 @@ class TestTrain:
         seqs = pattern_seqs()
         ckpt = train(seqs, SMALL_CFG, TrainConfig(epochs=10, batch_size=8, seed=0))
         assert len(ckpt.history) == 10
+        assert len(ckpt.epoch_seconds) == 10 and all(s > 0.0 for s in ckpt.epoch_seconds)
         assert ckpt.final_loss == ckpt.history[-1]
         assert ckpt.history[-1] < ckpt.history[0]
         assert all(math.isfinite(h) for h in ckpt.history)
