@@ -2,11 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .calibrate import Threshold, select_threshold, sweep
+from .calibrate import Threshold, select_threshold
 from .corpus import (
     LABEL_ANOMALOUS,
     LABEL_NORMAL,
-    LabeledCorpus,
     Split,
     dedupe,
     split_corpus,

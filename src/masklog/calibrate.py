@@ -61,46 +61,3 @@ def select_threshold(
         repeats=repeats,
     )
 
-
-@dataclass(frozen=True)
-class SweepRow:
-    percentile: float
-    threshold: float
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    precision: float
-    recall: float
-    f1: float
-
-
-def sweep(scores_normal, percentiles, labeled_test_scores) -> list[SweepRow]:
-    """Metrics over a range of percentile thresholds, each calibrated on normal scores only.
-
-    labeled_test_scores pairs each test score with its true label
-    ("normal"/"anomalous" or 0/1).
-    """
-    from .detect import confusion_counts, metrics_from_counts  # local: avoids a module cycle
-
-    rows = []
-    for p in percentiles:
-        t = select_threshold(scores_normal, p)
-        preds = ["anomalous" if s > t.value else "normal" for s, _ in labeled_test_scores]
-        truth = [lab for _, lab in labeled_test_scores]
-        counts = confusion_counts(preds, truth)
-        m = metrics_from_counts(*counts)
-        rows.append(
-            SweepRow(
-                percentile=float(p),
-                threshold=t.value,
-                tp=m.tp,
-                fp=m.fp,
-                fn=m.fn,
-                tn=m.tn,
-                precision=m.precision,
-                recall=m.recall,
-                f1=m.f1,
-            )
-        )
-    return rows

@@ -12,6 +12,8 @@ import struct
 
 import numpy as np
 
+from .errors import MalformedInput
+
 _MAGIC = b"MLCKPT01"
 
 
@@ -36,7 +38,7 @@ def save_container(path, header: dict, tensors: dict) -> None:
 def load_container(path) -> tuple[dict, dict]:
     with open(path, "rb") as f:
         if f.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path} is not a checkpoint container")
+            raise MalformedInput(f"{path} is not a checkpoint container")
         (header_len,) = struct.unpack("<I", f.read(4))
         header = {}
         for line in f.read(header_len).decode("utf-8").splitlines():
@@ -52,6 +54,6 @@ def load_container(path) -> tuple[dict, dict]:
             count = int(np.prod(dims)) if rank else 1
             payload = f.read(4 * count)
             if len(payload) != 4 * count:
-                raise ValueError(f"truncated tensor payload for {name}")
+                raise MalformedInput(f"truncated tensor payload for {name}")
             tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     return header, tensors

@@ -3,14 +3,16 @@
 Every command validates its inputs, writes its artifacts plus a run manifest
 (JSON sidecar next to the first output), and exits nonzero with one
 machine-readable error line on stderr when something is wrong. All randomness
-flows from the command's single --seed.
+in a command flows from its single --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
+import struct
 import sys
 import time
 
@@ -18,7 +20,6 @@ from . import __version__
 from .calibrate import Threshold, select_threshold
 from .corpus import (
     LABEL_ANOMALOUS,
-    LABEL_NORMAL,
     canon_label,
     dedupe,
     load_labeled,
@@ -32,14 +33,16 @@ from .detect import (
     ablate_finetune,
     ablate_masking,
     assert_no_leakage,
-    classify,
-    metrics_from_counts,
-    confusion_counts,
+    metrics,
+    verdict_label,
 )
+# Not called here: perfbench's tracing hooks look these names up on this module.
+from .detect import confusion_counts, metrics_from_counts  # noqa: F401
 from .errors import (
     ConfigInvalid,
     DigestMismatch,
     LengthMismatch,
+    MalformedInput,
     MasklogError,
     MissingInput,
     VocabMismatch,
@@ -47,7 +50,7 @@ from .errors import (
 from .manifest import digest_map, load_manifest, verify_inputs, write_manifest
 from .masking import MaskingStrategy
 from .model import ModelConfig
-from .normalize import CleanLog, DEFAULT_CONFIG, NormalizationConfig, clean_lines
+from .normalize import CleanLog, clean_lines
 from .score import heatmap as compute_heatmap
 from .score import score_corpus
 from .train import TrainConfig, load_checkpoint, save_checkpoint, train
@@ -86,109 +89,97 @@ def _load_clean_seqs(path, vocab, max_len, labeled=False):
 # artifact formats
 
 
-def write_scores(path, reports, meta: dict) -> None:
+SCORE_COLUMNS = {"source_id": str, "line_no": int, "score": float, "masked_count": int, "strategy": str}
+VERDICT_COLUMNS = {"source_id": str, "line_no": int, "score": float, "threshold": float, "label": str}
+GRID_COLUMNS = {
+    "strategy": str, "percentile": float, "threshold": float, "tp": int, "fp": int, "fn": int,
+    "tn": int, "precision": float, "recall": float, "f1": float,
+}
+
+
+def _cell(value) -> str:
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def write_table(path, columns, rows, meta: dict | None = None) -> None:
+    """Sorted `# key=value` header lines, a tab-separated column line, then one line per row."""
+    meta = meta or {}
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for key in sorted(meta):
-            f.write(f"# {key}={meta[key]}\n")
-        f.write("source_id\tline_no\tscore\tmasked_count\tstrategy\n")
-        for r in reports:
-            sid, line_no = r.raw_ref
-            f.write(f"{sid}\t{line_no}\t{_fmt(r.score)}\t{r.masked_count}\t{r.strategy.describe()}\n")
+            f.write(f"# {key}={_cell(meta[key])}\n")
+        f.write("\t".join(columns) + "\n")
+        for row in rows:
+            f.write("\t".join(_cell(v) for v in row) + "\n")
 
 
-def read_scores(path):
-    meta, rows = {}, []
+def read_table(path, columns: dict) -> tuple[dict, list[dict]]:
+    """Inverse of `write_table`: the header, and each row as a dict cast by `columns` (name -> type)."""
+    meta, rows, header = {}, [], None
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.rstrip("\n")
-            if line.startswith("# "):
+            if header is None and line.startswith("# "):
                 key, _, value = line[2:].partition("=")
                 meta[key] = value
-                continue
-            if line.startswith("source_id\t") or not line:
-                continue
-            sid, line_no, score, masked_count, strategy = line.split("\t")
-            rows.append(
-                {
-                    "source_id": sid,
-                    "line_no": int(line_no),
-                    "score": float(score),
-                    "masked_count": int(masked_count),
-                    "strategy": strategy,
-                }
-            )
+            elif header is None:
+                header = line.split("\t")
+                if header != list(columns):
+                    raise MalformedInput(f"{path}: columns {header} are not {list(columns)}")
+            elif line:
+                try:
+                    cells = zip(columns.items(), line.split("\t"), strict=True)
+                    rows.append({name: cast(cell) for (name, cast), cell in cells})
+                except ValueError as e:
+                    raise MalformedInput(f"{path} line {n}: {e}") from None
+    if header is None:
+        raise MalformedInput(f"{path} has no column line")
     return meta, rows
 
 
+def read_scores(path):
+    return read_table(path, SCORE_COLUMNS)
+
+
+def read_verdicts(path):
+    return read_table(path, VERDICT_COLUMNS)
+
+
 def write_threshold(path, t: Threshold) -> None:
-    _dump_json(
-        path,
-        {
-            "value": t.value,
-            "percentile": t.percentile,
-            "n_calibration": t.n_calibration,
-            "checkpoint_hash": t.checkpoint_hash,
-            "vocab_hash": t.vocab_hash,
-            "strategy": t.strategy,
-            "repeats": t.repeats,
-        },
-    )
+    _dump_json(path, dataclasses.asdict(t))
 
 
 def read_threshold(path) -> Threshold:
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
+    names = {f.name for f in dataclasses.fields(Threshold)}
+    found = set(doc) if isinstance(doc, dict) else set()
+    if found != names:
+        raise ConfigInvalid(
+            f"threshold file {path}: unknown keys {sorted(found - names)}, "
+            f"missing keys {sorted(names - found)}"
+        )
     return Threshold(**doc)
 
 
-def write_verdicts(path, rows, meta: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for key in sorted(meta):
-            f.write(f"# {key}={meta[key]}\n")
-        f.write("source_id\tline_no\tscore\tthreshold\tlabel\n")
-        for sid, line_no, score, thr, label in rows:
-            f.write(f"{sid}\t{line_no}\t{_fmt(score)}\t{_fmt(thr)}\t{label}\n")
-
-
-def read_verdicts(path):
-    meta, rows = {}, []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                meta[key] = value
-                continue
-            if line.startswith("source_id\t") or not line:
-                continue
-            sid, line_no, score, thr, label = line.split("\t")
-            rows.append((sid, int(line_no), float(score), float(thr), label))
-    return meta, rows
-
-
 def write_grid(path, cells) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("strategy\tpercentile\tthreshold\ttp\tfp\tfn\ttn\tprecision\trecall\tf1\n")
-        for c in cells:
-            m = c.metrics
-            f.write(
-                f"{c.strategy}\t{_fmt(c.percentile)}\t{_fmt(c.threshold)}\t"
-                f"{m.tp}\t{m.fp}\t{m.fn}\t{m.tn}\t"
-                f"{_fmt(m.precision)}\t{_fmt(m.recall)}\t{_fmt(m.f1)}\n"
-            )
+    write_table(
+        path,
+        GRID_COLUMNS,
+        [
+            (c.strategy, c.percentile, c.threshold, c.metrics.tp, c.metrics.fp, c.metrics.fn,
+             c.metrics.tn, c.metrics.precision, c.metrics.recall, c.metrics.f1)
+            for c in cells
+        ],
+    )
 
 
 def write_heatmap(path, hm) -> None:
     n_rows, width = hm.values.shape
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("source_id\tline_no\t" + "\t".join(f"pos{i}" for i in range(width)) + "\n")
-        for r in range(n_rows):
-            sid, line_no = hm.row_refs[r]
-            cells = [
-                "NA" if not (hm.values[r, c] == hm.values[r, c]) else _fmt(hm.values[r, c])
-                for c in range(width)
-            ]
-            f.write(f"{sid}\t{line_no}\t" + "\t".join(cells) + "\n")
+    write_table(
+        path,
+        ["source_id", "line_no", *(f"pos{i}" for i in range(width))],
+        [(*hm.row_refs[r], *("NA" if v != v else v for v in hm.values[r])) for r in range(n_rows)],
+    )
     sidecar = {
         "rows": [
             {
@@ -215,20 +206,10 @@ def run_synth(opts):
     return [], [opts["out"], opts["labels_out"]], []
 
 
-def _normalization_config(opts) -> NormalizationConfig:
-    extra = opts.get("extra_timestamp_patterns") or []
-    patterns = tuple((str(n), str(p)) for n, p in extra) + DEFAULT_CONFIG.timestamp_patterns
-    return NormalizationConfig(
-        timestamp_patterns=patterns,
-        split_compound=bool(opts.get("split_compound", True)),
-    )
-
-
 def run_clean(opts):
     _require(opts, "in_", "out")
-    cfg = _normalization_config(opts)
     lines = load_lines(opts["in_"])
-    cleaned, report = clean_lines(lines, source_id=os.path.basename(opts["in_"]), cfg=cfg)
+    cleaned, report = clean_lines(lines, source_id=os.path.basename(opts["in_"]))
     write_lines(opts["out"], [c.text for c in cleaned])
     report_path = opts.get("report") or opts["out"] + ".report.json"
     _dump_json(report_path, report.as_dict())
@@ -267,16 +248,9 @@ def run_split(opts):
         texts, labels = load_labeled(opts["in_"])
         inputs = [opts["in_"]]
     name = os.path.basename(opts["in_"])
-    normals = [
-        CleanLog(text=t, raw_ref=(name, i))
-        for i, (t, lab) in enumerate(zip(texts, labels))
-        if lab != LABEL_ANOMALOUS
-    ]
-    anomalies = [
-        CleanLog(text=t, raw_ref=(name, i))
-        for i, (t, lab) in enumerate(zip(texts, labels))
-        if lab == LABEL_ANOMALOUS
-    ]
+    logs = [(CleanLog(text=t, raw_ref=(name, i)), lab) for i, (t, lab) in enumerate(zip(texts, labels))]
+    normals = [log for log, lab in logs if lab != LABEL_ANOMALOUS]
+    anomalies = [log for log, lab in logs if lab == LABEL_ANOMALOUS]
     unique_normals, counts = dedupe(normals)
     result = split_corpus(unique_normals, anomalies, opts["seed"])
     os.makedirs(opts["out_dir"], exist_ok=True)
@@ -304,18 +278,15 @@ def run_split(opts):
     return inputs, [train_path, val_path, test_path, info_path], []
 
 
+def _model_config(opts, vocab) -> ModelConfig:
+    dims = {k: opts[k] for k in ("d_model", "n_heads", "n_layers", "d_ff", "max_len")}
+    return ModelConfig(vocab_size=len(vocab), dropout_rate=opts["dropout"], **dims)
+
+
 def run_train(opts):
     _require(opts, "in_", "vocab", "out")
     vocab = load_vocab(opts["vocab"])
-    model_cfg = ModelConfig(
-        vocab_size=len(vocab),
-        d_model=opts["d_model"],
-        n_heads=opts["n_heads"],
-        n_layers=opts["n_layers"],
-        d_ff=opts["d_ff"],
-        max_len=opts["max_len"],
-        dropout_rate=opts["dropout"],
-    )
+    model_cfg = _model_config(opts, vocab)
     train_cfg = TrainConfig(
         epochs=opts["epochs"],
         batch_size=opts["batch_size"],
@@ -330,17 +301,16 @@ def run_train(opts):
     ckpt = train(seqs, model_cfg, train_cfg, vocab_hash=vocab.digest())
     save_checkpoint(ckpt, opts["out"])
     log_path = opts.get("log") or opts["out"] + ".log.tsv"
-    with open(log_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("epoch\tmean_loss\twall_time_s\n")
-        for i, (loss, secs) in enumerate(zip(ckpt.history, ckpt.epoch_seconds)):
-            f.write(f"{i}\t{_fmt(loss)}\t{secs:.3f}\n")
+    write_table(
+        log_path,
+        ["epoch", "mean_loss", "wall_time_s"],
+        [(i, loss, f"{secs:.3f}") for i, (loss, secs) in enumerate(zip(ckpt.history, ckpt.epoch_seconds))],
+    )
     return [opts["in_"], opts["vocab"]], [opts["out"]], [log_path]
 
 
 def _checkpoint_and_vocab(opts):
     _require(opts, "checkpoint", "vocab")
-    if not os.path.exists(opts["checkpoint"]):
-        raise MissingInput(f"checkpoint {opts['checkpoint']} does not exist")
     ckpt = load_checkpoint(opts["checkpoint"])
     vocab = load_vocab(opts["vocab"])
     if ckpt.vocab_hash and vocab.digest() != ckpt.vocab_hash:
@@ -353,7 +323,7 @@ def _checkpoint_and_vocab(opts):
 def run_score(opts):
     _require(opts, "in_", "out")
     ckpt, vocab = _checkpoint_and_vocab(opts)
-    strategy = _strategy_from_opts(opts)
+    strategy = MaskingStrategy.parse(opts["mask_strategy"], opts["mask_fraction"])
     _, seqs, _ = _load_clean_seqs(
         opts["in_"], vocab, ckpt.model_config.max_len, labeled=opts.get("labeled", False)
     )
@@ -367,17 +337,9 @@ def run_score(opts):
         "repeats": reports[0].repeats if reports else 1,
         "seed": opts["seed"],
     }
-    write_scores(opts["out"], reports, meta)
+    rows = [(*r.raw_ref, r.score, r.masked_count, r.strategy.describe()) for r in reports]
+    write_table(opts["out"], SCORE_COLUMNS, rows, meta)
     return [opts["in_"], opts["vocab"], opts["checkpoint"]], [opts["out"]], []
-
-
-def _strategy_from_opts(opts) -> MaskingStrategy:
-    kind = opts.get("mask_strategy", "random")
-    if kind == "token":
-        return MaskingStrategy(kind="token_by_token", fraction=1.0)
-    if kind == "random":
-        return MaskingStrategy(kind="random_fraction", fraction=opts.get("mask_fraction", 0.15))
-    raise ConfigInvalid(f"field mask_strategy: unknown value {kind!r}")
 
 
 def run_calibrate(opts):
@@ -404,19 +366,14 @@ def run_detect(opts):
     if t.vocab_hash and meta.get("vocab") != t.vocab_hash:
         raise DigestMismatch("field vocab: scores and threshold disagree")
     verdict_rows = [
-        (
-            r["source_id"],
-            r["line_no"],
-            r["score"],
-            t.value,
-            LABEL_ANOMALOUS if r["score"] > t.value else LABEL_NORMAL,
-        )
+        (r["source_id"], r["line_no"], r["score"], t.value, verdict_label(r["score"], t.value))
         for r in rows
     ]
-    write_verdicts(
+    write_table(
         opts["out"],
+        VERDICT_COLUMNS,
         verdict_rows,
-        {"checkpoint": meta.get("checkpoint", ""), "threshold": _fmt(t.value)},
+        {"checkpoint": meta.get("checkpoint", ""), "threshold": t.value},
     )
     return [opts["scores"], opts["threshold"]], [opts["out"]], []
 
@@ -425,8 +382,6 @@ def run_eval(opts):
     _require(opts, "verdicts", "test", "out")
     _, rows = read_verdicts(opts["verdicts"])
     texts, truth = load_labeled(opts["test"])
-    if len(rows) != len(texts):
-        raise LengthMismatch(f"{len(rows)} verdicts vs {len(texts)} labeled test logs")
     inputs = [opts["verdicts"], opts["test"]]
     train_texts, cal_texts = [], []
     if opts.get("train"):
@@ -437,9 +392,8 @@ def run_eval(opts):
         inputs.append(opts["val"])
     if train_texts or cal_texts:
         assert_no_leakage(texts, train_texts, cal_texts)
-    predicted = [label for *_rest, label in rows]
-    m = metrics_from_counts(*confusion_counts(predicted, truth))
-    doc = m.as_dict()
+    m = metrics([r["label"] for r in rows], truth)
+    doc = dataclasses.asdict(m)
     doc["n_test"] = len(texts)
     _dump_json(opts["out"], doc)
     print(f"precision={m.precision:.4f} recall={m.recall:.4f} f1={m.f1:.4f}")
@@ -472,15 +426,7 @@ def run_ablate_masking(opts):
 def run_ablate_finetune(opts):
     _require(opts, "train", "val", "test", "vocab", "out")
     vocab = load_vocab(opts["vocab"])
-    model_cfg = ModelConfig(
-        vocab_size=len(vocab),
-        d_model=opts["d_model"],
-        n_heads=opts["n_heads"],
-        n_layers=opts["n_layers"],
-        d_ff=opts["d_ff"],
-        max_len=opts["max_len"],
-        dropout_rate=opts["dropout"],
-    )
+    model_cfg = _model_config(opts, vocab)
     train_cfg = TrainConfig(
         epochs=opts["epochs"],
         batch_size=opts["batch_size"],
@@ -498,14 +444,14 @@ def run_ablate_finetune(opts):
         test_seqs,
         test_labels,
         percentile=opts["percentile"],
-        strategy=_strategy_from_opts(opts),
+        strategy=MaskingStrategy.parse(opts["mask_strategy"], opts["mask_fraction"]),
         seed=opts["seed"],
         vocab_hash=vocab.digest(),
         threads=opts["threads"],
     )
     doc = {
-        "trained": result.trained.as_dict(),
-        "untrained": result.untrained.as_dict(),
+        "trained": dataclasses.asdict(result.trained),
+        "untrained": dataclasses.asdict(result.untrained),
         "trained_mean_normal_score": result.trained_mean_normal_score,
         "untrained_mean_normal_score": result.untrained_mean_normal_score,
         "f1_gap": result.trained.f1 - result.untrained.f1,
@@ -559,14 +505,14 @@ _register(
 _register(
     "clean",
     run_clean,
-    {"seed": 0, "split_compound": True, "extra_timestamp_patterns": []},
+    {},
     ("in_", "out", "labels", "labels_out", "report"),
     "normalize raw logs into cleaned text",
 )
 _register(
     "build-vocab",
     run_build_vocab,
-    {"min_freq": 1, "max_vocab": 8192, "seed": 0},
+    {"min_freq": 1, "max_vocab": 8192},
     ("in_", "out"),
     "build a token vocabulary from cleaned logs",
 )
@@ -605,21 +551,21 @@ _register(
 _register(
     "calibrate",
     run_calibrate,
-    {"percentile": 90.0, "seed": 0},
+    {"percentile": 90.0},
     ("scores", "out"),
     "select the percentile threshold from normal-log scores",
 )
 _register(
     "detect",
     run_detect,
-    {"seed": 0},
+    {},
     ("scores", "threshold", "out"),
     "classify scored logs against a threshold",
 )
 _register(
     "eval",
     run_eval,
-    {"seed": 0},
+    {},
     ("verdicts", "test", "train", "val", "out"),
     "compare verdicts to truth labels (with leakage guard)",
 )
@@ -655,14 +601,19 @@ _register(
 _register(
     "heatmap",
     run_heatmap,
-    {"seed": 0, "threads": 1, "labeled": False},
+    {"threads": 1, "labeled": False},
     ("in_", "vocab", "checkpoint", "out"),
     "token-by-token probability matrix for a corpus",
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigInvalid(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="masklog", description=__doc__)
+    parser = _Parser(prog="masklog", description=__doc__)
     parser.add_argument("--version", action="version", version=f"masklog {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
@@ -686,28 +637,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_options(name: str, ns: argparse.Namespace) -> dict:
+def _options(name: str, given: dict) -> dict:
+    """The command's defaults updated by `given`; a key the command does not define is refused."""
     cmd = _COMMANDS[name]
-    allowed = set(cmd["defaults"]) | set(cmd["paths"])
-    opts = dict(cmd["defaults"])
-    opts.update({k: None for k in cmd["paths"] if k not in opts})
+    opts = {**dict.fromkeys(cmd["paths"]), **cmd["defaults"]}
+    for key in given:
+        if key not in opts:
+            raise ConfigInvalid(f"unknown config key {key!r} for {name}")
+    opts.update(given)
+    return opts
+
+
+def _merge_options(name: str, ns: argparse.Namespace) -> dict:
+    given = {}
     if ns.config:
-        if not os.path.exists(ns.config):
-            raise MissingInput(f"config file {ns.config} does not exist")
         with open(ns.config, "r", encoding="utf-8") as f:
             try:
-                loaded = json.load(f)
+                given = json.load(f)
             except json.JSONDecodeError as e:
                 raise ConfigInvalid(f"config file is not valid JSON: {e}") from None
-        for key, value in loaded.items():
-            if key not in allowed:
-                raise ConfigInvalid(f"unknown config key {key!r}")
-            opts[key] = value
-    for key in allowed:
-        value = getattr(ns, key, None)
-        if value is not None:
-            opts[key] = value
-    return opts
+        if not isinstance(given, dict):
+            raise ConfigInvalid("config file must hold a JSON object")
+    flags = {k: v for k, v in vars(ns).items() if v is not None and k not in ("command", "config")}
+    return _options(name, {**given, **flags})
 
 
 def _execute(name: str, opts: dict) -> dict:
@@ -731,23 +683,30 @@ def run_rerun(manifest_path: str) -> dict:
     if name not in _COMMANDS:
         raise ConfigInvalid(f"manifest names unknown command {name!r}")
     verify_inputs(doc)
-    return _execute(name, doc["options"])
+    return _execute(name, _options(name, doc["options"]))
+
+
+def _typed(error: Exception) -> MasklogError:
+    """The package error a failure is reported as; errors from outside the package get a typed name."""
+    if isinstance(error, MasklogError):
+        return error
+    if isinstance(error, (struct.error, UnicodeDecodeError, json.JSONDecodeError)):
+        return MalformedInput(str(error))
+    if isinstance(error, ValueError):
+        return ConfigInvalid(str(error))
+    return MissingInput(str(error))
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = _build_parser().parse_args(argv)
         if ns.command == "rerun":
             run_rerun(ns.manifest)
         else:
-            opts = _merge_options(ns.command, ns)
-            _execute(ns.command, opts)
-    except FileNotFoundError as e:
-        print(json.dumps({"error": "MissingInput", "message": str(e)}), file=sys.stderr)
-        return 2
-    except MasklogError as e:
-        print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
+            _execute(ns.command, _merge_options(ns.command, ns))
+    except (MasklogError, ValueError, struct.error, OSError) as e:
+        error = _typed(e)
+        print(json.dumps({"error": type(error).__name__, "message": str(error)}), file=sys.stderr)
         return 2
     return 0
 

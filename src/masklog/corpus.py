@@ -10,11 +10,11 @@ alone cannot ace the fixture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewLogs
+from .errors import MalformedInput, TooFewLogs
 from .normalize import DEFAULT_CONFIG, CleanLog, RawLog, normalize
 
 LABEL_NORMAL = "normal"
@@ -28,7 +28,7 @@ def canon_label(label) -> str:
         return LABEL_NORMAL
     if str(label) in ("1", "true", "True"):
         return LABEL_ANOMALOUS
-    raise ValueError(f"unrecognized label {label!r}")
+    raise MalformedInput(f"unrecognized label {label!r}")
 
 
 _WORD_POOL = (
@@ -72,18 +72,6 @@ _FRAC_SHUFFLE = 0.3
 # corrupted flavors; keeping the donor set small keeps the anomaly vocabulary
 # dominated by never-seen tokens.
 _N_CORRUPT_SOURCES = 8
-
-
-@dataclass(eq=False)
-class LabeledCorpus:
-    records: list  # (CleanLog, label)
-    manifest: dict = field(default_factory=dict)
-
-    def texts(self) -> list[str]:
-        return [log.text for log, _ in self.records]
-
-    def labels(self) -> list[str]:
-        return [label for _, label in self.records]
 
 
 @dataclass(eq=False)

@@ -34,24 +34,17 @@ class MetricsReport:
     f1: float
     zero_division: tuple = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "zero_division": list(self.zero_division),
-        }
+
+def verdict_label(score: float, threshold: float) -> str:
+    """Strict-inequality rule: a score exactly at the threshold is normal."""
+    return LABEL_ANOMALOUS if score > threshold else LABEL_NORMAL
 
 
 def classify(report: ScoreReport, t: Threshold) -> Verdict:
-    """Strict-inequality rule: a score exactly at the threshold is normal."""
+    """`verdict_label` for a report, refusing a threshold from another checkpoint."""
     if report.checkpoint_hash and t.checkpoint_hash and report.checkpoint_hash != t.checkpoint_hash:
         raise CheckpointMismatch("score and threshold come from different checkpoints")
-    label = LABEL_ANOMALOUS if report.score > t.value else LABEL_NORMAL
+    label = verdict_label(report.score, t.value)
     return Verdict(raw_ref=report.raw_ref, score=report.score, threshold_value=t.value, label=label)
 
 
@@ -120,6 +113,25 @@ class AblationCell:
     metrics: MetricsReport
 
 
+def percentile_grid(
+    cal_scores, test_reports, truth, percentiles, checkpoint_hash: str = "", strategy: str = ""
+) -> list[AblationCell]:
+    """Metrics of the test reports at each percentile threshold, calibrated on normal scores only."""
+    cells = []
+    for p in percentiles:
+        t = select_threshold(cal_scores, p, checkpoint_hash=checkpoint_hash, strategy=strategy)
+        verdicts = [classify(r, t) for r in test_reports]
+        cells.append(AblationCell(strategy, float(p), t.value, metrics(verdicts, truth)))
+    return cells
+
+
+def _score_partitions(ckpt, val_seqs, test_seqs, strategy, seed, repeats, threads):
+    """Calibration scores of the normal val logs, and the test reports, under one strategy."""
+    val = score_corpus(ckpt, val_seqs, strategy, seed=seed, repeats=repeats, threads=threads)
+    test = score_corpus(ckpt, test_seqs, strategy, seed=seed, repeats=repeats, threads=threads)
+    return [r.score for r in val], test
+
+
 def ablate_masking(
     ckpt: Checkpoint,
     val_seqs,
@@ -137,24 +149,16 @@ def ablate_masking(
     matches running each cell standalone because thresholding is downstream of
     scoring.
     """
-    truth = [canon_label(t) for t in test_labels]
     cells = []
     for strategy in strategies:
         if isinstance(strategy, str):
             strategy = MaskingStrategy.parse(strategy)
-        val_scores = [r.score for r in score_corpus(ckpt, val_seqs, strategy, seed=seed, repeats=repeats, threads=threads)]
-        test_reports = score_corpus(ckpt, test_seqs, strategy, seed=seed, repeats=repeats, threads=threads)
-        for p in percentiles:
-            t = select_threshold(val_scores, p, checkpoint_hash=ckpt.digest(), strategy=strategy.describe())
-            verdicts = [classify(r, t) for r in test_reports]
-            cells.append(
-                AblationCell(
-                    strategy=strategy.describe(),
-                    percentile=float(p),
-                    threshold=t.value,
-                    metrics=metrics(verdicts, truth),
-                )
-            )
+        val_scores, test_reports = _score_partitions(
+            ckpt, val_seqs, test_seqs, strategy, seed, repeats, threads
+        )
+        cells += percentile_grid(
+            val_scores, test_reports, test_labels, percentiles, ckpt.digest(), strategy.describe()
+        )
     return cells
 
 
@@ -167,12 +171,9 @@ class FinetuneAblation:
 
 
 def _run_detection(ckpt, val_seqs, test_seqs, truth, strategy, percentile, seed, threads):
-    val_scores = [r.score for r in score_corpus(ckpt, val_seqs, strategy, seed=seed, threads=threads)]
-    t = select_threshold(val_scores, percentile, checkpoint_hash=ckpt.digest(), strategy=strategy.describe())
-    reports = score_corpus(ckpt, test_seqs, strategy, seed=seed, threads=threads)
-    verdicts = [classify(r, t) for r in reports]
-    mean_val = sum(val_scores) / len(val_scores)
-    return metrics(verdicts, truth), mean_val
+    val_scores, reports = _score_partitions(ckpt, val_seqs, test_seqs, strategy, seed, 1, threads)
+    (cell,) = percentile_grid(val_scores, reports, truth, [percentile], ckpt.digest(), strategy.describe())
+    return cell.metrics, sum(val_scores) / len(val_scores)
 
 
 def ablate_finetune(
@@ -189,7 +190,6 @@ def ablate_finetune(
     threads: int = 1,
 ) -> FinetuneAblation:
     """Same detection pipeline with freshly initialized weights vs. trained weights."""
-    truth = [canon_label(t) for t in test_labels]
     strategy = strategy or MaskingStrategy()
     untrained = Checkpoint(
         params=init_params(model_cfg, train_cfg.seed),
@@ -199,11 +199,11 @@ def ablate_finetune(
         history=[],
     )
     m_unt, mean_unt = _run_detection(
-        untrained, val_seqs, test_seqs, truth, strategy, percentile, seed, threads
+        untrained, val_seqs, test_seqs, test_labels, strategy, percentile, seed, threads
     )
     trained = train_model(train_seqs, model_cfg, train_cfg, vocab_hash=vocab_hash)
     m_tr, mean_tr = _run_detection(
-        trained, val_seqs, test_seqs, truth, strategy, percentile, seed, threads
+        trained, val_seqs, test_seqs, test_labels, strategy, percentile, seed, threads
     )
     return FinetuneAblation(
         trained=m_tr,

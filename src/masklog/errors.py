@@ -87,3 +87,7 @@ class DigestMismatch(MasklogError):
 
 class ConfigInvalid(MasklogError):
     """A configuration file or flag value is not acceptable."""
+
+
+class MalformedInput(MasklogError, ValueError):
+    """An input file is truncated, garbled or of the wrong kind (a ValueError too, for library callers)."""

@@ -34,13 +34,14 @@ class MaskingStrategy:
         return f"random{self.fraction:g}"
 
     @classmethod
-    def parse(cls, text: str) -> "MaskingStrategy":
+    def parse(cls, text: str, fraction: float = 0.15) -> "MaskingStrategy":
+        """`token`, `random<fraction>` as `describe` writes them, or bare `random` at `fraction`."""
         text = text.strip()
         if text == "token":
             return cls(kind=TOKEN_BY_TOKEN, fraction=1.0)
         if text.startswith("random"):
             frac = text[len("random"):]
-            return cls(kind=RANDOM_FRACTION, fraction=float(frac) if frac else 0.15)
+            return cls(kind=RANDOM_FRACTION, fraction=float(frac) if frac else fraction)
         raise ValueError(f"cannot parse masking strategy {text!r}")
 
 
@@ -51,12 +52,6 @@ class MaskPlan:
     masked_indices: tuple[int, ...]
     original_ids: np.ndarray
     masked_sequence: TokenSequence
-
-    def as_dict(self) -> dict:
-        return {
-            "masked_indices": list(self.masked_indices),
-            "original_ids": [int(i) for i in self.original_ids],
-        }
 
 
 def _mask_count(length: int, fraction: float) -> int:

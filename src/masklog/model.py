@@ -56,17 +56,6 @@ class ModelConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
 
-    def as_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "d_ff": self.d_ff,
-            "max_len": self.max_len,
-            "dropout_rate": self.dropout_rate,
-        }
-
 
 @dataclass(eq=False)
 class Parameters:
@@ -86,9 +75,6 @@ class Parameters:
 
     def copy(self) -> "Parameters":
         return Parameters(self.config, {k: v.copy() for k, v in self.tensors.items()})
-
-    def n_scalars(self) -> int:
-        return sum(int(v.size) for v in self.tensors.values())
 
 
 @dataclass(eq=False)

@@ -49,14 +49,6 @@ class HeatmapMatrix:
     labels: list | None = None
     summary: dict = field(default_factory=dict)
 
-    def mean_probability(self, label: str | None = None) -> float:
-        if label is None:
-            cells = self.values
-        else:
-            rows = [i for i, lab in enumerate(self.labels or []) if lab == label]
-            cells = self.values[rows]
-        return float(np.nanmean(cells))
-
 
 def _true_token_probs(ckpt: Checkpoint, plans) -> list:
     """One batched forward over a log's masked variants; reads P(true | context).

@@ -7,6 +7,7 @@ whole run is a pure function of its inputs and seed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -215,22 +216,23 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _is_float_field(f: dataclasses.Field) -> bool:
+    # By the declared default, not the value: an int passed for a float field
+    # is still written as a float, so the header bytes do not depend on it.
+    return isinstance(f.default, float)
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    header = {f"model.{k}": v for k, v in ckpt.model_config.as_dict().items()}
-    tc = ckpt.train_config
+    header = {f"model.{k}": v for k, v in dataclasses.asdict(ckpt.model_config).items()}
+    for f in dataclasses.fields(TrainConfig):
+        value = getattr(ckpt.train_config, f.name)
+        if value is None:
+            value = "none"
+        elif _is_float_field(f):
+            value = _format_float(value)
+        header[f"train.{f.name}"] = value
     header.update(
         {
-            "train.epochs": tc.epochs,
-            "train.batch_size": tc.batch_size,
-            "train.mask_fraction": _format_float(tc.mask_fraction),
-            "train.learning_rate": _format_float(tc.learning_rate),
-            "train.weight_decay": _format_float(tc.weight_decay),
-            "train.beta1": _format_float(tc.beta1),
-            "train.beta2": _format_float(tc.beta2),
-            "train.adam_eps": _format_float(tc.adam_eps),
-            "train.grad_clip": "none" if tc.grad_clip is None else _format_float(tc.grad_clip),
-            "train.warmup_steps": tc.warmup_steps,
-            "train.seed": tc.seed,
             "vocab_hash": ckpt.vocab_hash,
             "final_loss": _format_float(ckpt.final_loss),
             "history": ",".join(_format_float(h) for h in ckpt.history),
@@ -239,31 +241,18 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     ckpt_io.save_container(path, header, ckpt.params.tensors)
 
 
+def _config_from_header(cls, prefix: str, header: dict):
+    values = {}
+    for f in dataclasses.fields(cls):
+        text = header[f"{prefix}.{f.name}"]
+        values[f.name] = None if text == "none" else (float if _is_float_field(f) else int)(text)
+    return cls(**values)
+
+
 def load_checkpoint(path) -> Checkpoint:
     header, tensors = ckpt_io.load_container(path)
-    model_cfg = ModelConfig(
-        vocab_size=int(header["model.vocab_size"]),
-        d_model=int(header["model.d_model"]),
-        n_heads=int(header["model.n_heads"]),
-        n_layers=int(header["model.n_layers"]),
-        d_ff=int(header["model.d_ff"]),
-        max_len=int(header["model.max_len"]),
-        dropout_rate=float(header["model.dropout_rate"]),
-    )
-    clip = header["train.grad_clip"]
-    train_cfg = TrainConfig(
-        epochs=int(header["train.epochs"]),
-        batch_size=int(header["train.batch_size"]),
-        mask_fraction=float(header["train.mask_fraction"]),
-        learning_rate=float(header["train.learning_rate"]),
-        weight_decay=float(header["train.weight_decay"]),
-        beta1=float(header["train.beta1"]),
-        beta2=float(header["train.beta2"]),
-        adam_eps=float(header["train.adam_eps"]),
-        grad_clip=None if clip == "none" else float(clip),
-        warmup_steps=int(header["train.warmup_steps"]),
-        seed=int(header["train.seed"]),
-    )
+    model_cfg = _config_from_header(ModelConfig, "model", header)
+    train_cfg = _config_from_header(TrainConfig, "train", header)
     history = [float(h) for h in header["history"].split(",")] if header["history"] else []
     return Checkpoint(
         params=Parameters(config=model_cfg, tensors=tensors),

@@ -61,9 +61,6 @@ class TokenSequence:
     raw_ref: tuple[str, int] = ("", 0)
     truncated: bool = False
 
-    def content_ids(self) -> np.ndarray:
-        return self.ids[: self.length]
-
 
 def build_vocab(corpus, min_freq: int = 1, max_size: int = 8192) -> Vocabulary:
     """Count whitespace tokens over cleaned logs and keep the frequent ones.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masklog.calibrate import Threshold, interpolated_quantile, select_threshold, sweep
+from masklog.calibrate import Threshold, interpolated_quantile, select_threshold
 from masklog.errors import EmptyScores, NonFiniteScore
 
 
@@ -94,30 +94,3 @@ def test_calibration_purity_bound():
         above = sum(1 for s in scores if s > t.value)
         assert above / len(scores) <= (100.0 - p) / 100.0 + 1.0 / len(scores)
 
-
-class TestSweep:
-    def test_predicted_positive_monotone_and_consistent(self):
-        rng = np.random.default_rng(8)
-        normal_scores = rng.normal(1.0, 0.3, 200).tolist()
-        labeled = [(float(s), "normal") for s in rng.normal(1.0, 0.3, 100)]
-        labeled += [(float(s), "anomalous") for s in rng.normal(3.0, 0.5, 40)]
-        rows = sweep(normal_scores, [70, 80, 90, 95, 100], labeled)
-        assert len(rows) == 5
-        positives = [r.tp + r.fp for r in rows]
-        assert positives == sorted(positives, reverse=True)
-
-    def test_single_percentile_matches_standalone(self):
-        rng = np.random.default_rng(9)
-        normal_scores = rng.normal(1.0, 0.3, 50).tolist()
-        labeled = [(2.5, "anomalous"), (0.9, "normal"), (1.4, "normal"), (3.0, "anomalous")]
-        (row,) = sweep(normal_scores, [90], labeled)
-        t = select_threshold(normal_scores, 90)
-        assert row.threshold == t.value
-        expected_preds = [s > t.value for s, _ in labeled]
-        assert row.tp == sum(1 for flag, (_, lab) in zip(expected_preds, labeled) if flag and lab == "anomalous")
-
-    def test_percentile_100_uses_max(self):
-        scores = [1.0, 5.0, 2.0]
-        (row,) = sweep(scores, [100], [(6.0, "anomalous"), (4.9, "normal")])
-        assert row.threshold == 5.0
-        assert row.tp == 1 and row.fp == 0

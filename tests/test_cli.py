@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from masklog.cli import main, read_scores, read_threshold, read_verdicts
+from masklog.errors import NoAnomaliesInTruth
 from masklog.manifest import file_digest, load_manifest, manifest_path_for
 
 from conftest import run_cli
@@ -95,7 +96,7 @@ class TestArtifacts:
         _, verdicts = read_verdicts(small_run["verdicts"])
         assert len(scores) == len(verdicts)
         for s, v in zip(scores, verdicts):
-            assert v[4] == ("anomalous" if s["score"] > t.value else "normal")
+            assert v["label"] == ("anomalous" if s["score"] > t.value else "normal")
 
     def test_eval_report(self, small_run):
         doc = json.loads(small_run["metrics"].read_text())
@@ -264,3 +265,78 @@ class TestErrorPaths:
         assert rc != 0
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "DigestMismatch"
+
+    def test_rerun_refuses_an_option_the_command_does_not_define(self, small_run, tmp_path, capsys):
+        clean = tmp_path / "clean3.log"
+        assert run_cli("clean", "--in", small_run["raw"], "--out", clean) == 0
+        manifest = manifest_path_for(clean)
+        doc = load_manifest(manifest)
+        doc["options"]["split_compound"] = False
+        with open(manifest, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        rc = main(["rerun", "--manifest", manifest])
+        assert rc != 0
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalid"
+        assert "split_compound" in err["message"]
+
+    def test_eval_warns_when_truth_has_no_anomalies(self, tmp_path):
+        test = tmp_path / "normals.tsv"
+        test.write_text("a b\tnormal\nc d\tnormal\n")
+        verdicts = tmp_path / "v.tsv"
+        verdicts.write_text("source_id\tline_no\tscore\tthreshold\tlabel\n"
+                            "normals.tsv\t0\t2.0\t1.0\tanomalous\n"
+                            "normals.tsv\t1\t0.5\t1.0\tnormal\n")
+        out = tmp_path / "m.json"
+        with pytest.warns(NoAnomaliesInTruth):
+            assert main(["eval", "--verdicts", str(verdicts), "--test", str(test), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["zero_division"] == ["recall", "f1"]
+
+
+def _truncated_checkpoint(run, tmp):
+    path = tmp / "truncated.ckpt"
+    path.write_bytes(run["ckpt"].read_bytes()[:200])
+    return ["score", "--in", run["val"], "--vocab", run["vocab"], "--checkpoint", path,
+            "--out", tmp / "s.tsv"]
+
+
+def _threshold_file(run, tmp, text):
+    path = tmp / "t.json"
+    path.write_text(text)
+    return ["detect", "--scores", run["test_scores"], "--threshold", path, "--out", tmp / "v.tsv"]
+
+
+def _threshold_with_unknown_key(run, tmp):
+    doc = json.loads(run["threshold"].read_text())
+    doc["bogus"] = 1
+    return _threshold_file(run, tmp, json.dumps(doc))
+
+
+BAD_INPUTS = {
+    "model-dims": ("ConfigInvalid", lambda r, t: [
+        "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt",
+        "--d-model", 10, "--n-heads", 4]),
+    "percentile-0": ("ConfigInvalid", lambda r, t: [
+        "calibrate", "--scores", r["val_scores"], "--out", t / "t.json", "--percentile", 0]),
+    "mask-fraction-0": ("ConfigInvalid", lambda r, t: [
+        "score", "--in", r["val"], "--vocab", r["vocab"], "--checkpoint", r["ckpt"],
+        "--out", t / "s.tsv", "--mask-fraction", 0]),
+    "truncated-checkpoint": ("MalformedInput", _truncated_checkpoint),
+    "threshold-not-json": ("MalformedInput", lambda r, t: _threshold_file(r, t, "{not json")),
+    "threshold-unknown-key": ("ConfigInvalid", _threshold_with_unknown_key),
+    "eval-unlabeled-test": ("MalformedInput", lambda r, t: [
+        "eval", "--verdicts", r["verdicts"], "--test", r["val"], "--out", t / "m.json"]),
+    "unknown-flag": ("ConfigInvalid", lambda r, t: ["calibrate", "--no-such-flag", 1]),
+    "badly-typed-flag": ("ConfigInvalid", lambda r, t: ["synth", "--seed", "abc"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_gives_one_typed_json_error_line(case, small_run, tmp_path, capsys):
+    expected, make_argv = BAD_INPUTS[case]
+    rc = main([str(a) for a in make_argv(small_run, tmp_path)])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == expected

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from masklog.calibrate import Threshold
+from masklog.calibrate import Threshold, select_threshold
 from masklog.corpus import LABEL_ANOMALOUS, LABEL_NORMAL
 from masklog.detect import (
     assert_no_leakage,
@@ -9,6 +9,7 @@ from masklog.detect import (
     confusion_counts,
     metrics,
     metrics_from_counts,
+    percentile_grid,
 )
 from masklog.errors import CheckpointMismatch, LeakageDetected, LengthMismatch, NoAnomaliesInTruth
 from masklog.masking import MaskingStrategy
@@ -113,6 +114,40 @@ class TestMetrics:
     def test_numeric_labels_accepted(self):
         m = metrics(["1", "0"], [1, 0])
         assert m.tp == 1 and m.tn == 1
+
+
+class TestPercentileGrid:
+    @staticmethod
+    def grid(normal_scores, labeled, percentiles):
+        reports = [make_report(s) for s, _ in labeled]
+        return percentile_grid(normal_scores, reports, [lab for _, lab in labeled], percentiles)
+
+    def test_predicted_positive_monotone_and_consistent(self):
+        rng = np.random.default_rng(8)
+        normal_scores = rng.normal(1.0, 0.3, 200).tolist()
+        labeled = [(float(s), "normal") for s in rng.normal(1.0, 0.3, 100)]
+        labeled += [(float(s), "anomalous") for s in rng.normal(3.0, 0.5, 40)]
+        cells = self.grid(normal_scores, labeled, [70, 80, 90, 95, 100])
+        assert len(cells) == 5
+        positives = [c.metrics.tp + c.metrics.fp for c in cells]
+        assert positives == sorted(positives, reverse=True)
+
+    def test_single_percentile_matches_standalone(self):
+        rng = np.random.default_rng(9)
+        normal_scores = rng.normal(1.0, 0.3, 50).tolist()
+        labeled = [(2.5, "anomalous"), (0.9, "normal"), (1.4, "normal"), (3.0, "anomalous")]
+        (cell,) = self.grid(normal_scores, labeled, [90])
+        t = select_threshold(normal_scores, 90)
+        assert cell.threshold == t.value
+        expected_preds = [s > t.value for s, _ in labeled]
+        assert cell.metrics.tp == sum(
+            1 for flag, (_, lab) in zip(expected_preds, labeled) if flag and lab == "anomalous"
+        )
+
+    def test_percentile_100_uses_max(self):
+        (cell,) = self.grid([1.0, 5.0, 2.0], [(6.0, "anomalous"), (4.9, "normal")], [100])
+        assert cell.threshold == 5.0
+        assert cell.metrics.tp == 1 and cell.metrics.fp == 0
 
 
 class TestLeakageGuard:

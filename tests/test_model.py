@@ -63,7 +63,7 @@ class TestInit:
         v, d, f, ml, nl = 4096, 128, 256, 128, 2
         per_layer = 4 * (d * d + d) + 2 * 2 * d + (d * f + f) + (f * d + d)
         expected = v * d + ml * d + nl * per_layer + 2 * d + (d * v + v)
-        assert params.n_scalars() == expected
+        assert sum(int(v.size) for _, v in params.items()) == expected
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
