@@ -148,6 +148,9 @@ def write_threshold(path, t: Threshold) -> None:
     _dump_json(path, dataclasses.asdict(t))
 
 
+_JSON_TYPES = {"float": (int, float), "int": int, "str": str}
+
+
 def read_threshold(path) -> Threshold:
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
@@ -158,7 +161,19 @@ def read_threshold(path) -> Threshold:
             f"threshold file {path}: unknown keys {sorted(found - names)}, "
             f"missing keys {sorted(names - found)}"
         )
-    return Threshold(**doc)
+    values = {}
+    for f in dataclasses.fields(Threshold):  # f.type is the annotation text: float, int or str
+        value = doc[f.name]
+        ok = isinstance(value, _JSON_TYPES[f.type]) and not isinstance(value, bool)
+        if ok and f.type == "float":
+            ok = abs(value) <= sys.float_info.max  # false for inf, nan and ints beyond float range
+            value = float(value) if ok else value
+        if not ok:
+            raise ConfigInvalid(
+                f"threshold file {path}: {f.name} must be a {'finite ' * (f.type == 'float')}{f.type}, not {value!r}"
+            )
+        values[f.name] = value
+    return Threshold(**values)
 
 
 def write_grid(path, cells) -> None:

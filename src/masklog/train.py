@@ -1,8 +1,10 @@
 """Masked-token training loop on normal logs, producing a reusable checkpoint.
 
 The optimizer is adaptive moment estimation with decoupled weight decay
-(decay on matrix-shaped tensors only) and global-norm gradient clipping. The
-whole run is a pure function of its inputs and seed.
+(decay on matrix-shaped tensors only) and global-norm gradient clipping. Each
+step's forward and backward pass run in float32, the weights' storage dtype;
+the clip norm and the optimizer moments stay float64. The whole run is a pure
+function of its inputs and seed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checkpoint as ckpt_io
-from .errors import DivergenceDetected, EmptyCorpus, VocabMismatch
+from .errors import DivergenceDetected, EmptyCorpus, MalformedInput, VocabMismatch
 from .masking import plan_random
 from .model import ModelConfig, Parameters, init_params, loss_and_gradients, params_digest
 
@@ -89,11 +91,21 @@ class Checkpoint:
 
 
 class _AdamW:
+    """AdamW with float64 moments, updated in place.
+
+    Each incoming gradient is cast to float64 once, into a buffer held per
+    tensor; the clip norm, the moments and the update are computed at float64
+    through those buffers and one shared scratch array, in the operation order
+    of ``w - (lr * (m / bc1) / (sqrt(v / bc2) + eps) + lr * wd * w)``.
+    """
+
     def __init__(self, tensors: dict, cfg: TrainConfig):
         self.cfg = cfg
         self.step = 0
         self.m = {k: np.zeros(v.shape) for k, v in tensors.items()}
         self.v = {k: np.zeros(v.shape) for k, v in tensors.items()}
+        self.g = {k: np.zeros(v.shape) for k, v in tensors.items()}
+        self._scratch = np.zeros(max(v.size for v in tensors.values()))
 
     def apply(self, tensors: dict, grads: dict) -> None:
         c = self.cfg
@@ -101,25 +113,35 @@ class _AdamW:
         lr = c.learning_rate
         if c.warmup_steps > 0:
             lr *= min(1.0, self.step / c.warmup_steps)
+        g64 = {name: self.g[name] for name in grads}
+        for name, g in grads.items():
+            np.copyto(g64[name], g)
         if c.grad_clip is not None:
-            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            norm = math.sqrt(sum(float(np.multiply(g, g, out=self._tmp(g)).sum()) for g in g64.values()))
             if norm > c.grad_clip:
                 scale = c.grad_clip / norm
-                grads = {k: g * scale for k, g in grads.items()}
+                for g in g64.values():
+                    g *= scale
         bc1 = 1.0 - c.beta1**self.step
         bc2 = 1.0 - c.beta2**self.step
-        for name, g in grads.items():
-            m = self.m[name]
-            v = self.v[name]
+        for name, g in g64.items():
+            m, v, tmp, w = self.m[name], self.v[name], self._tmp(g), tensors[name]
             m *= c.beta1
-            m += (1.0 - c.beta1) * g
+            m += np.multiply(g, 1.0 - c.beta1, out=tmp)
             v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            update = lr * (m / bc1) / (np.sqrt(v / bc2) + c.adam_eps)
-            w = tensors[name].astype(np.float64)
+            np.multiply(g, 1.0 - c.beta2, out=tmp)
+            v += np.multiply(tmp, g, out=tmp)
+            # g is spent: it holds sqrt(v / bc2) + eps, then w as float64
+            update = np.multiply(np.divide(m, bc1, out=tmp), lr, out=tmp)
+            update /= np.add(np.sqrt(np.divide(v, bc2, out=g), out=g), c.adam_eps, out=g)
             if w.ndim == 2 and c.weight_decay:
-                update = update + lr * c.weight_decay * w
-            tensors[name] = (w - update).astype(np.float32)
+                np.copyto(g, w)
+                update += np.multiply(g, lr * c.weight_decay, out=g)
+            np.copyto(g, w)
+            tensors[name] = np.subtract(g, update, out=update).astype(np.float32)
+
+    def _tmp(self, like: np.ndarray) -> np.ndarray:
+        return self._scratch[: like.size].reshape(like.shape)
 
 
 def _batch_step_inputs(corpus, indices, mask_fraction, seed_prefix: tuple):
@@ -169,6 +191,7 @@ def train(corpus_train, model_cfg: ModelConfig, cfg: TrainConfig, vocab_hash: st
                 positions,
                 train_mode=True,
                 seed=derive_seed(cfg.seed, _STREAM_DROPOUT, epoch, start),
+                dtype=np.float32,
             )
             if not math.isfinite(loss):
                 raise DivergenceDetected(f"non-finite loss at epoch {epoch}")
@@ -251,13 +274,19 @@ def _config_from_header(cls, prefix: str, header: dict):
 
 def load_checkpoint(path) -> Checkpoint:
     header, tensors = ckpt_io.load_container(path)
-    model_cfg = _config_from_header(ModelConfig, "model", header)
-    train_cfg = _config_from_header(TrainConfig, "train", header)
-    history = [float(h) for h in header["history"].split(",")] if header["history"] else []
+    try:
+        model_cfg = _config_from_header(ModelConfig, "model", header)
+        train_cfg = _config_from_header(TrainConfig, "train", header)
+        history = [float(h) for h in header["history"].split(",")] if header["history"] else []
+        vocab_hash, final_loss = header["vocab_hash"], float(header["final_loss"])
+    except KeyError as e:
+        raise MalformedInput(f"{path}: checkpoint header has no {e.args[0]!r} key") from None
+    except ValueError as e:
+        raise MalformedInput(f"{path}: checkpoint header: {e}") from None
     return Checkpoint(
         params=Parameters(config=model_cfg, tensors=tensors),
-        vocab_hash=header["vocab_hash"],
+        vocab_hash=vocab_hash,
         train_config=train_cfg,
-        final_loss=float(header["final_loss"]),
+        final_loss=final_loss,
         history=history,
     )

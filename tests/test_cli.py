@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import masklog
+from masklog.checkpoint import load_container, save_container
 from masklog.cli import main, read_scores, read_threshold, read_verdicts
 from masklog.errors import NoAnomaliesInTruth
 from masklog.manifest import file_digest, load_manifest, manifest_path_for
@@ -313,6 +319,31 @@ def _threshold_with_unknown_key(run, tmp):
     return _threshold_file(run, tmp, json.dumps(doc))
 
 
+def _checkpoint_without_config(run, tmp):
+    path = tmp / "bare.ckpt"
+    save_container(path, {"x": 1}, {})
+    return ["score", "--in", run["val"], "--vocab", run["vocab"], "--checkpoint", path,
+            "--out", tmp / "s.tsv"]
+
+
+def _checkpoint_with_garbled_config(run, tmp):
+    header, tensors = load_container(run["ckpt"])
+    header["model.d_model"] = "abc"
+    path = tmp / "garbled.ckpt"
+    save_container(path, header, tensors)
+    return ["score", "--in", run["val"], "--vocab", run["vocab"], "--checkpoint", path,
+            "--out", tmp / "s.tsv"]
+
+
+def _threshold_with(**changes):
+    def make(run, tmp):
+        doc = json.loads(run["threshold"].read_text())
+        doc.update(changes)
+        return _threshold_file(run, tmp, json.dumps(doc))
+
+    return make
+
+
 BAD_INPUTS = {
     "model-dims": ("ConfigInvalid", lambda r, t: [
         "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt",
@@ -327,6 +358,14 @@ BAD_INPUTS = {
     "threshold-unknown-key": ("ConfigInvalid", _threshold_with_unknown_key),
     "eval-unlabeled-test": ("MalformedInput", lambda r, t: [
         "eval", "--verdicts", r["verdicts"], "--test", r["val"], "--out", t / "m.json"]),
+    "checkpoint-without-config": ("MalformedInput", _checkpoint_without_config),
+    "checkpoint-config-not-a-number": ("MalformedInput", _checkpoint_with_garbled_config),
+    "threshold-value-a-string": ("ConfigInvalid", _threshold_with(value="abc")),
+    "threshold-percentile-nan": ("ConfigInvalid", _threshold_with(percentile=float("nan"))),
+    "threshold-value-beyond-float-range": ("ConfigInvalid", _threshold_with(value=10**400)),
+    "threshold-n-calibration-a-float": ("ConfigInvalid", _threshold_with(n_calibration=2.5)),
+    "threshold-repeats-a-bool": ("ConfigInvalid", _threshold_with(repeats=True)),
+    "threshold-digest-a-number": ("ConfigInvalid", _threshold_with(checkpoint_hash=5)),
     "unknown-flag": ("ConfigInvalid", lambda r, t: ["calibrate", "--no-such-flag", 1]),
     "badly-typed-flag": ("ConfigInvalid", lambda r, t: ["synth", "--seed", "abc"]),
 }
@@ -340,3 +379,26 @@ def test_bad_input_gives_one_typed_json_error_line(case, small_run, tmp_path, ca
     assert rc == 2
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == expected
+
+
+def test_threshold_reader_accepts_integral_floats(small_run, tmp_path):
+    doc = json.loads(small_run["threshold"].read_text())
+    doc.update(value=3, percentile=90)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    t = read_threshold(path)
+    assert (t.value, t.percentile) == (3.0, 90.0)
+    assert isinstance(t.value, float) and isinstance(t.percentile, float)
+
+
+def test_python_dash_m_runs_the_cli_from_a_source_tree(tmp_path):
+    src = str(Path(masklog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "masklog", "build-vocab", "--in", str(tmp_path / "absent.txt"),
+         "--out", str(tmp_path / "v.txt")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "MissingInput"

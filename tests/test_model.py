@@ -11,6 +11,9 @@ from masklog.errors import (
 from masklog.model import (
     LN_EPS,
     ModelConfig,
+    _forward_cached,
+    _masked_coords,
+    _stack_batch,
     backward,
     forward,
     init_params,
@@ -327,6 +330,63 @@ class TestGatheredHead:
                 a = grads[name].reshape(-1)[idx]
                 assert abs(fd) > 1e-4, name  # well above the finite-difference resolution floor
                 assert abs(a - fd) / max(abs(a), abs(fd)) < 1e-4, name
+
+
+def _float_arrays(obj, path="cache"):
+    """(path, array) for every floating-point array reachable in a forward cache."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            yield path, obj
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _float_arrays(v, f"{path}.{k}")
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from _float_arrays(v, f"{path}[{i}]")
+
+
+class TestFloat32Path:
+    """Training computes in float32; the float64 default is its reference."""
+
+    CFG = dict(vocab_size=20, d_model=16, n_heads=2, n_layers=2, d_ff=24, max_len=8)
+
+    def test_no_silent_promotion(self, tiny_batch):
+        batch, targets, positions = tiny_batch
+        params = init_params(ModelConfig(**self.CFG, dropout_rate=0.25), 4)
+        ids, lengths = _stack_batch(batch, params.config)
+        cache = _forward_cached(params, ids, lengths, True, 9, _masked_coords(positions, lengths),
+                                np.float32)
+        arrays = dict(_float_arrays(cache))
+        assert "cache.logits" in arrays and "cache.layers[1].ffn_mask" in arrays
+        assert {p: a.dtype for p, a in arrays.items() if a.dtype != np.float32} == {}
+        loss, grads = loss_and_gradients(params, batch, targets, positions, train_mode=True, seed=9,
+                                         dtype=np.float32)
+        assert isinstance(loss, float)
+        assert {n: g.dtype for n, g in grads.items() if g.dtype != np.float32} == {}
+
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.25])
+    def test_matches_float64(self, tiny_batch, dropout_rate):
+        batch, targets, positions = tiny_batch
+        params = init_params(ModelConfig(**self.CFG, dropout_rate=dropout_rate), 4)
+        for train_mode, seed in ((False, 0), (True, 31)):
+            l64, g64 = loss_and_gradients(params, batch, targets, positions, train_mode, seed)
+            l32, g32 = loss_and_gradients(params, batch, targets, positions, train_mode, seed,
+                                          dtype=np.float32)
+            assert abs(l32 - l64) <= 1e-6 * abs(l64)
+            total = math.sqrt(sum(float((g * g).sum()) for g in g64.values()))
+            for name, g in g64.items():
+                # attn.bk is analytically zero, so each tensor's norm is floored by the total's
+                bound = 1e-4 * max(float(np.linalg.norm(g)), 1e-3 * total)
+                assert float(np.linalg.norm(g32[name] - g)) <= bound, name
+
+    def test_training_is_reproducible(self):
+        seqs = [make_seq(n, rng=np.random.default_rng(n)) for n in (3, 5, 6, 8, 4, 7, 8, 2)]
+        cfg = ModelConfig(**self.CFG, dropout_rate=0.1)
+        tcfg = TrainConfig(epochs=3, batch_size=3, seed=5)
+        a, b = train(seqs, cfg, tcfg), train(seqs, cfg, tcfg)
+        assert a.digest() == b.digest()
+        assert a.history == b.history
+        assert all(t.dtype == np.float32 for _, t in a.params.items())
 
 
 class TestLossDecreases:

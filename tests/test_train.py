@@ -9,6 +9,7 @@ from masklog.masking import plan_token_by_token
 from masklog.model import ModelConfig, forward, init_params, params_digest
 from masklog.train import (
     Checkpoint,
+    _AdamW,
     TrainConfig,
     evaluate_loss,
     load_checkpoint,
@@ -85,6 +86,64 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(mask_fraction=0.0)
+
+
+class _ReferenceAdamW:
+    """The out-of-place AdamW formula, kept as the oracle for the in-place one."""
+
+    def __init__(self, tensors, cfg):
+        self.cfg, self.step = cfg, 0
+        self.m = {k: np.zeros(v.shape) for k, v in tensors.items()}
+        self.v = {k: np.zeros(v.shape) for k, v in tensors.items()}
+
+    def apply(self, tensors, grads):
+        c = self.cfg
+        self.step += 1
+        lr = c.learning_rate
+        if c.warmup_steps > 0:
+            lr *= min(1.0, self.step / c.warmup_steps)
+        if c.grad_clip is not None:
+            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            if norm > c.grad_clip:
+                scale = c.grad_clip / norm
+                grads = {k: g * scale for k, g in grads.items()}
+        bc1 = 1.0 - c.beta1**self.step
+        bc2 = 1.0 - c.beta2**self.step
+        for name, g in grads.items():
+            m = self.m[name]
+            v = self.v[name]
+            m *= c.beta1
+            m += (1.0 - c.beta1) * g
+            v *= c.beta2
+            v += (1.0 - c.beta2) * g * g
+            update = lr * (m / bc1) / (np.sqrt(v / bc2) + c.adam_eps)
+            w = tensors[name].astype(np.float64)
+            if w.ndim == 2 and c.weight_decay:
+                update = update + lr * c.weight_decay * w
+            tensors[name] = (w - update).astype(np.float32)
+
+
+class TestAdamW:
+    @pytest.mark.parametrize("grad_clip", [0.5, None])
+    def test_in_place_update_is_bit_identical_to_the_reference_formula(self, grad_clip):
+        cfg = TrainConfig(learning_rate=3e-2, weight_decay=0.1, grad_clip=grad_clip, warmup_steps=2)
+        params = init_params(SMALL_CFG, 3)
+        ours, ref = params.copy().tensors, params.copy().tensors
+        opt, ref_opt = _AdamW(ours, cfg), _ReferenceAdamW(ref, cfg)
+        rng = np.random.default_rng(8)
+        clipped = 0
+        for _ in range(6):
+            grads = {k: rng.normal(0.0, 0.3, v.shape) for k, v in ours.items()}
+            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            clipped += grad_clip is not None and norm > grad_clip
+            opt.apply(ours, {k: g.copy() for k, g in grads.items()})
+            ref_opt.apply(ref, grads)
+            for name in ref:
+                assert ours[name].dtype == np.float32
+                assert ours[name].tobytes() == ref[name].tobytes(), name
+                assert opt.m[name].tobytes() == ref_opt.m[name].tobytes(), name
+                assert opt.v[name].tobytes() == ref_opt.v[name].tobytes(), name
+        assert clipped == (6 if grad_clip is not None else 0)
 
 
 class TestEvaluateLoss:
