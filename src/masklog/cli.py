@@ -20,7 +20,6 @@ from . import __version__
 from .calibrate import Threshold, select_threshold
 from .corpus import (
     LABEL_ANOMALOUS,
-    canon_label,
     dedupe,
     load_labeled,
     load_lines,
@@ -41,7 +40,6 @@ from .detect import confusion_counts, metrics_from_counts  # noqa: F401
 from .errors import (
     ConfigInvalid,
     DigestMismatch,
-    LengthMismatch,
     MalformedInput,
     MasklogError,
     MissingInput,
@@ -223,17 +221,17 @@ def run_synth(opts):
 
 def run_clean(opts):
     _require(opts, "in_", "out")
-    lines = load_lines(opts["in_"])
+    if opts.get("labels"):
+        lines, labels = load_labeled(opts["in_"], opts["labels"])
+    else:
+        lines, labels = load_lines(opts["in_"]), None
     cleaned, report = clean_lines(lines, source_id=os.path.basename(opts["in_"]))
     write_lines(opts["out"], [c.text for c in cleaned])
     report_path = opts.get("report") or opts["out"] + ".report.json"
     _dump_json(report_path, report.as_dict())
     inputs = [opts["in_"]]
     outputs = [opts["out"], report_path]
-    if opts.get("labels"):
-        labels = [canon_label(v) for v in load_lines(opts["labels"])]
-        if len(labels) != len(lines):
-            raise LengthMismatch(f"{len(lines)} logs vs {len(labels)} labels")
+    if labels is not None:
         dropped = set(report.dropped_line_nos)
         kept = [lab for i, lab in enumerate(labels) if i not in dropped]
         labels_out = opts.get("labels_out") or opts["out"] + ".labels"
@@ -253,15 +251,8 @@ def run_build_vocab(opts):
 
 def run_split(opts):
     _require(opts, "in_", "out_dir")
-    if opts.get("labels"):
-        texts = load_lines(opts["in_"])
-        labels = [canon_label(v) for v in load_lines(opts["labels"])]
-        if len(texts) != len(labels):
-            raise LengthMismatch(f"{len(texts)} logs vs {len(labels)} labels")
-        inputs = [opts["in_"], opts["labels"]]
-    else:
-        texts, labels = load_labeled(opts["in_"])
-        inputs = [opts["in_"]]
+    texts, labels = load_labeled(opts["in_"], opts.get("labels"))
+    inputs = [opts["in_"], opts["labels"]] if opts.get("labels") else [opts["in_"]]
     name = os.path.basename(opts["in_"])
     logs = [(CleanLog(text=t, raw_ref=(name, i)), lab) for i, (t, lab) in enumerate(zip(texts, labels))]
     normals = [log for log, lab in logs if lab != LABEL_ANOMALOUS]
@@ -293,15 +284,11 @@ def run_split(opts):
     return inputs, [train_path, val_path, test_path, info_path], []
 
 
-def _model_config(opts, vocab) -> ModelConfig:
-    dims = {k: opts[k] for k in ("d_model", "n_heads", "n_layers", "d_ff", "max_len")}
-    return ModelConfig(vocab_size=len(vocab), dropout_rate=opts["dropout"], **dims)
-
-
 def run_train(opts):
     _require(opts, "in_", "vocab", "out")
     vocab = load_vocab(opts["vocab"])
-    model_cfg = _model_config(opts, vocab)
+    dims = {k: opts[k] for k in ("d_model", "n_heads", "n_layers", "d_ff", "max_len")}
+    model_cfg = ModelConfig(vocab_size=len(vocab), dropout_rate=opts["dropout"], **dims)
     train_cfg = TrainConfig(
         epochs=opts["epochs"],
         batch_size=opts["batch_size"],
@@ -397,6 +384,13 @@ def run_eval(opts):
     _require(opts, "verdicts", "test", "out")
     _, rows = read_verdicts(opts["verdicts"])
     texts, truth = load_labeled(opts["test"])
+    name = os.path.basename(str(opts["test"]))
+    refs = [(name, i) for i in range(len(texts))]
+    predicted = {(r["source_id"], r["line_no"]): r["label"] for r in rows}
+    if len(predicted) != len(rows) or predicted.keys() != set(refs):
+        raise MalformedInput(
+            f"{opts['verdicts']}: the verdict rows are not lines 0-{len(texts) - 1} of {name}, once each"
+        )
     inputs = [opts["verdicts"], opts["test"]]
     train_texts, cal_texts = [], []
     if opts.get("train"):
@@ -407,7 +401,7 @@ def run_eval(opts):
         inputs.append(opts["val"])
     if train_texts or cal_texts:
         assert_no_leakage(texts, train_texts, cal_texts)
-    m = metrics([r["label"] for r in rows], truth)
+    m = metrics([predicted[ref] for ref in refs], truth)
     doc = dataclasses.asdict(m)
     doc["n_test"] = len(texts)
     _dump_json(opts["out"], doc)
@@ -415,12 +409,19 @@ def run_eval(opts):
     return inputs, [opts["out"]], []
 
 
-def run_ablate_masking(opts):
+def _ablation_inputs(opts):
+    """The checkpoint, the encoded val logs, the encoded labeled test logs, and the input paths."""
     _require(opts, "val", "test", "out")
     ckpt, vocab = _checkpoint_and_vocab(opts)
     max_len = ckpt.model_config.max_len
     _, val_seqs, _ = _load_clean_seqs(opts["val"], vocab, max_len)
     _, test_seqs, test_labels = _load_clean_seqs(opts["test"], vocab, max_len, labeled=True)
+    inputs = [opts["val"], opts["test"], opts["vocab"], opts["checkpoint"]]
+    return ckpt, val_seqs, test_seqs, test_labels, inputs
+
+
+def run_ablate_masking(opts):
+    ckpt, val_seqs, test_seqs, test_labels, inputs = _ablation_inputs(opts)
     strategies = [s.strip() for s in str(opts["strategies"]).split(",") if s.strip()]
     percentiles = [float(p) for p in str(opts["percentiles"]).split(",") if p.strip()]
     cells = ablate_masking(
@@ -435,33 +436,19 @@ def run_ablate_masking(opts):
         threads=opts["threads"],
     )
     write_grid(opts["out"], cells)
-    return [opts["val"], opts["test"], opts["vocab"], opts["checkpoint"]], [opts["out"]], []
+    return inputs, [opts["out"]], []
 
 
 def run_ablate_finetune(opts):
-    _require(opts, "train", "val", "test", "vocab", "out")
-    vocab = load_vocab(opts["vocab"])
-    model_cfg = _model_config(opts, vocab)
-    train_cfg = TrainConfig(
-        epochs=opts["epochs"],
-        batch_size=opts["batch_size"],
-        mask_fraction=opts["mask_fraction"],
-        seed=opts["seed"],
-    )
-    _, train_seqs, _ = _load_clean_seqs(opts["train"], vocab, opts["max_len"])
-    _, val_seqs, _ = _load_clean_seqs(opts["val"], vocab, opts["max_len"])
-    _, test_seqs, test_labels = _load_clean_seqs(opts["test"], vocab, opts["max_len"], labeled=True)
+    ckpt, val_seqs, test_seqs, test_labels, inputs = _ablation_inputs(opts)
     result = ablate_finetune(
-        model_cfg,
-        train_cfg,
-        train_seqs,
+        ckpt,
         val_seqs,
         test_seqs,
         test_labels,
         percentile=opts["percentile"],
         strategy=MaskingStrategy.parse(opts["mask_strategy"], opts["mask_fraction"]),
         seed=opts["seed"],
-        vocab_hash=vocab.digest(),
         threads=opts["threads"],
     )
     doc = {
@@ -472,7 +459,7 @@ def run_ablate_finetune(opts):
         "f1_gap": result.trained.f1 - result.untrained.f1,
     }
     _dump_json(opts["out"], doc)
-    return [opts["train"], opts["val"], opts["test"], opts["vocab"]], [opts["out"]], []
+    return inputs, [opts["out"]], []
 
 
 def run_heatmap(opts):
@@ -500,15 +487,6 @@ _COMMANDS: dict = {}
 def _register(name, runner, defaults, paths, help_text):
     _COMMANDS[name] = {"runner": runner, "defaults": defaults, "paths": paths, "help": help_text}
 
-
-_MODEL_DEFAULTS = {
-    "d_model": 128,
-    "n_heads": 4,
-    "n_layers": 2,
-    "d_ff": 256,
-    "max_len": 128,
-    "dropout": 0.0,
-}
 
 _register(
     "synth",
@@ -550,7 +528,12 @@ _register(
         "grad_clip": 1.0,
         "warmup_steps": 0,
         "seed": 0,
-        **_MODEL_DEFAULTS,
+        "d_model": 128,
+        "n_heads": 4,
+        "n_layers": 2,
+        "d_ff": 256,
+        "max_len": 128,
+        "dropout": 0.0,
     },
     ("in_", "vocab", "out", "log"),
     "train the encoder on normal logs",
@@ -600,18 +583,9 @@ _register(
 _register(
     "ablate-finetune",
     run_ablate_finetune,
-    {
-        "epochs": 10,
-        "batch_size": 64,
-        "mask_fraction": 0.15,
-        "mask_strategy": "random",
-        "percentile": 90.0,
-        "seed": 0,
-        "threads": 1,
-        **_MODEL_DEFAULTS,
-    },
-    ("train", "val", "test", "vocab", "out"),
-    "trained vs. freshly initialized detection, same seeds elsewhere",
+    {"mask_strategy": "random", "mask_fraction": 0.15, "percentile": 90.0, "seed": 0, "threads": 1},
+    ("checkpoint", "vocab", "val", "test", "out"),
+    "a checkpoint vs. its own initial weights, same detection pipeline and seeds",
 )
 _register(
     "heatmap",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedInput, TooFewLogs
+from .errors import LengthMismatch, MalformedInput, TooFewLogs
 from .normalize import DEFAULT_CONFIG, CleanLog, RawLog, normalize
 
 LABEL_NORMAL = "normal"
@@ -300,7 +300,7 @@ def load_labeled(path, labels_path=None) -> tuple[list[str], list[str]]:
     texts = load_lines(path)
     labels = [canon_label(v.strip()) for v in load_lines(labels_path)]
     if len(texts) != len(labels):
-        raise ValueError(f"{len(texts)} logs vs {len(labels)} labels")
+        raise LengthMismatch(f"{len(texts)} logs vs {len(labels)} labels")
     return texts, labels
 
 

@@ -11,8 +11,7 @@ from .errors import CheckpointMismatch, LeakageDetected, LengthMismatch, NoAnoma
 from .masking import MaskingStrategy
 from .model import init_params
 from .score import ScoreReport, score_corpus
-from .train import Checkpoint, TrainConfig
-from .train import train as train_model
+from .train import Checkpoint
 
 
 @dataclass(frozen=True)
@@ -177,33 +176,29 @@ def _run_detection(ckpt, val_seqs, test_seqs, truth, strategy, percentile, seed,
 
 
 def ablate_finetune(
-    model_cfg,
-    train_cfg: TrainConfig,
-    train_seqs,
+    ckpt: Checkpoint,
     val_seqs,
     test_seqs,
     test_labels,
     percentile: float = 90.0,
     strategy: MaskingStrategy | None = None,
     seed: int = 0,
-    vocab_hash: str = "",
     threads: int = 1,
 ) -> FinetuneAblation:
-    """Same detection pipeline with freshly initialized weights vs. trained weights."""
+    """Same detection pipeline with the checkpoint's weights vs. the initial weights it trained from."""
     strategy = strategy or MaskingStrategy()
     untrained = Checkpoint(
-        params=init_params(model_cfg, train_cfg.seed),
-        vocab_hash=vocab_hash,
-        train_config=train_cfg,
+        params=init_params(ckpt.model_config, ckpt.train_config.seed),
+        vocab_hash=ckpt.vocab_hash,
+        train_config=ckpt.train_config,
         final_loss=float("nan"),
         history=[],
     )
     m_unt, mean_unt = _run_detection(
         untrained, val_seqs, test_seqs, test_labels, strategy, percentile, seed, threads
     )
-    trained = train_model(train_seqs, model_cfg, train_cfg, vocab_hash=vocab_hash)
     m_tr, mean_tr = _run_detection(
-        trained, val_seqs, test_seqs, test_labels, strategy, percentile, seed, threads
+        ckpt, val_seqs, test_seqs, test_labels, strategy, percentile, seed, threads
     )
     return FinetuneAblation(
         trained=m_tr,

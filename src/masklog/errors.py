@@ -53,8 +53,8 @@ class CheckpointMismatch(MasklogError):
     """Scores and threshold derive from different checkpoints."""
 
 
-class LengthMismatch(MasklogError):
-    """Parallel sequences (predictions vs. truth) differ in length."""
+class LengthMismatch(MasklogError, ValueError):
+    """Parallel sequences (predictions vs. truth, logs vs. labels) differ in length."""
 
 
 class NoAnomaliesInTruth(UserWarning):

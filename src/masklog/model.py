@@ -104,37 +104,41 @@ def params_digest(params: Parameters) -> str:
     return h.hexdigest()
 
 
-def init_params(cfg: ModelConfig, seed: int) -> Parameters:
-    """Seeded random initialization; attention/FFN projections use scale 1/sqrt(d_model)."""
-    rng = np.random.default_rng(seed)
-    d, f4 = cfg.d_model, np.float32
-    proj_std = 1.0 / math.sqrt(d)
+def param_table(cfg: ModelConfig) -> list[tuple[str, tuple, float | str]]:
+    """Every parameter tensor as (name, shape, init), in initialization order.
 
-    def draw(shape, std):
-        return rng.normal(0.0, std, size=shape).astype(f4)
-
-    p: dict[str, np.ndarray] = {}
-    p["embed.token"] = draw((cfg.vocab_size, d), _EMBED_STD)
-    p["embed.position"] = draw((cfg.max_len, d), _EMBED_STD)
+    `init` is the std of a seeded normal draw, or "ones"/"zeros". `init_params`
+    builds from this table and `load_checkpoint` checks a file's tensors against it.
+    """
+    d, ff, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
+    proj = 1.0 / math.sqrt(d)  # attention/FFN projections
+    table = [("embed.token", (v, d), _EMBED_STD), ("embed.position", (cfg.max_len, d), _EMBED_STD)]
     for i in range(cfg.n_layers):
         pre = f"layers.{i}."
-        p[pre + "ln1.gain"] = np.ones(d, f4)
-        p[pre + "ln1.offset"] = np.zeros(d, f4)
-        for nm in ("wq", "wk", "wv", "wo"):
-            p[pre + "attn." + nm] = draw((d, d), proj_std)
-        for nm in ("bq", "bk", "bv", "bo"):
-            p[pre + "attn." + nm] = np.zeros(d, f4)
-        p[pre + "ln2.gain"] = np.ones(d, f4)
-        p[pre + "ln2.offset"] = np.zeros(d, f4)
-        p[pre + "ffn.w1"] = draw((d, cfg.d_ff), proj_std)
-        p[pre + "ffn.b1"] = np.zeros(cfg.d_ff, f4)
-        p[pre + "ffn.w2"] = draw((cfg.d_ff, d), proj_std)
-        p[pre + "ffn.b2"] = np.zeros(d, f4)
-    p["final_ln.gain"] = np.ones(d, f4)
-    p["final_ln.offset"] = np.zeros(d, f4)
-    p["out.w"] = draw((d, cfg.vocab_size), _OUT_STD)
-    p["out.b"] = np.zeros(cfg.vocab_size, f4)
-    return Parameters(config=cfg, tensors=p)
+        table += [(pre + "ln1.gain", (d,), "ones"), (pre + "ln1.offset", (d,), "zeros")]
+        table += [(pre + "attn." + nm, (d, d), proj) for nm in ("wq", "wk", "wv", "wo")]
+        table += [(pre + "attn." + nm, (d,), "zeros") for nm in ("bq", "bk", "bv", "bo")]
+        table += [
+            (pre + "ln2.gain", (d,), "ones"), (pre + "ln2.offset", (d,), "zeros"),
+            (pre + "ffn.w1", (d, ff), proj), (pre + "ffn.b1", (ff,), "zeros"),
+            (pre + "ffn.w2", (ff, d), proj), (pre + "ffn.b2", (d,), "zeros"),
+        ]
+    return table + [
+        ("final_ln.gain", (d,), "ones"), ("final_ln.offset", (d,), "zeros"),
+        ("out.w", (d, v), _OUT_STD), ("out.b", (v,), "zeros"),
+    ]
+
+
+def init_params(cfg: ModelConfig, seed: int) -> Parameters:
+    """Seeded random initialization from `param_table`, drawing in table order."""
+    rng = np.random.default_rng(seed)
+    fill = {"ones": np.ones, "zeros": np.zeros}
+    tensors = {
+        name: fill[init](shape, np.float32) if isinstance(init, str)
+        else rng.normal(0.0, init, size=shape).astype(np.float32)
+        for name, shape, init in param_table(cfg)
+    }
+    return Parameters(config=cfg, tensors=tensors)
 
 
 def _stack_batch(batch, cfg: ModelConfig):

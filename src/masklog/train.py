@@ -19,7 +19,7 @@ import numpy as np
 from . import checkpoint as ckpt_io
 from .errors import DivergenceDetected, EmptyCorpus, MalformedInput, VocabMismatch
 from .masking import plan_random
-from .model import ModelConfig, Parameters, init_params, loss_and_gradients, params_digest
+from .model import ModelConfig, Parameters, init_params, loss_and_gradients, param_table, params_digest
 
 # Sub-seed stream codes, fanned out of the run seed.
 _STREAM_SHUFFLE = 1
@@ -283,6 +283,15 @@ def load_checkpoint(path) -> Checkpoint:
         raise MalformedInput(f"{path}: checkpoint header has no {e.args[0]!r} key") from None
     except ValueError as e:
         raise MalformedInput(f"{path}: checkpoint header: {e}") from None
+    expected = {name: shape for name, shape, _ in param_table(model_cfg)}
+    found = {name: t.shape for name, t in tensors.items()}
+    if found != expected:
+        misshapen = sorted(n for n in expected.keys() & found.keys() if expected[n] != found[n])
+        raise MalformedInput(
+            f"{path}: tensors do not match the header's model config: missing "
+            f"{sorted(expected.keys() - found.keys())}, extra {sorted(found.keys() - expected.keys())}, "
+            f"misshapen {misshapen}"
+        )
     return Checkpoint(
         params=Parameters(config=model_cfg, tensors=tensors),
         vocab_hash=vocab_hash,

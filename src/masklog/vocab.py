@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyAfterCleaning, EmptyCorpus, UnknownId
+from .errors import EmptyAfterCleaning, EmptyCorpus, MalformedInput, UnknownId
 from .normalize import CleanLog
 
 PAD_ID = 0
@@ -48,7 +48,7 @@ class Vocabulary:
     def from_tokens(cls, tokens) -> "Vocabulary":
         id_to_token = tuple(tokens)
         if id_to_token[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
-            raise ValueError("vocabulary must start with the special tokens")
+            raise MalformedInput("vocabulary must start with the special tokens")
         return cls(id_to_token=id_to_token, token_to_id={t: i for i, t in enumerate(id_to_token)})
 
 
@@ -127,5 +127,5 @@ def load_vocab(path) -> Vocabulary:
     with open(path, "r", encoding="utf-8") as f:
         tokens = f.read().splitlines()
     if len(tokens) < 5:
-        raise ValueError("vocabulary file must hold the 4 specials plus at least one token")
+        raise MalformedInput(f"{path}: vocabulary file must hold the 4 specials plus at least one token")
     return Vocabulary.from_tokens(tokens)

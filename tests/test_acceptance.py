@@ -47,9 +47,9 @@ def ablation_outputs(pipeline, tmp_path_factory):
     ) == 0
     finetune = root / "finetune.json"
     assert run_cli(
-        "ablate-finetune", "--train", pipeline["train"], "--val", pipeline["val"],
+        "ablate-finetune", "--checkpoint", pipeline["ckpt"], "--val", pipeline["val"],
         "--test", pipeline["test"], "--vocab", pipeline["vocab"], "--out", finetune,
-        "--max-len", 64, "--seed", TRAIN_SEED,
+        "--seed", TRAIN_SEED,
     ) == 0
     heat = root / "heatmap.tsv"
     assert run_cli(

@@ -175,9 +175,8 @@ class TestAblateCommands:
 
     def test_finetune_report(self, small_run, tmp_path):
         out = tmp_path / "ft.json"
-        assert run_cli("ablate-finetune", "--train", small_run["train"], "--val", small_run["val"],
+        assert run_cli("ablate-finetune", "--checkpoint", small_run["ckpt"], "--val", small_run["val"],
                        "--test", small_run["test"], "--vocab", small_run["vocab"], "--out", out,
-                       "--epochs", 4, "--d-model", 32, "--d-ff", 48, "--max-len", 48,
                        "--seed", 5) == 0
         doc = json.loads(out.read_text())
         assert set(doc) >= {"trained", "untrained", "f1_gap"}
@@ -335,6 +334,52 @@ def _checkpoint_with_garbled_config(run, tmp):
             "--out", tmp / "s.tsv"]
 
 
+def _checkpoint_with_tensor(name, value):
+    """Score with the run's checkpoint re-saved with tensor `name` replaced by `value` (None deletes it)."""
+
+    def make(run, tmp):
+        header, tensors = load_container(run["ckpt"])
+        del tensors[name]
+        if value is not None:
+            tensors[name] = value
+        path = tmp / "edited.ckpt"
+        save_container(path, header, tensors)
+        return ["score", "--in", run["val"], "--vocab", run["vocab"], "--checkpoint", path,
+                "--out", tmp / "s.tsv"]
+
+    return make
+
+
+def _vocab_without_specials(run, tmp):
+    path = tmp / "vocab.txt"
+    path.write_text("alpha\nbeta\ngamma\ndelta\nepsilon\n")
+    return ["score", "--in", run["val"], "--vocab", path, "--checkpoint", run["ckpt"],
+            "--out", tmp / "s.tsv"]
+
+
+def _eval_of_val_verdicts_against_another_file(run, tmp):
+    verdicts = tmp / "val_verdicts.tsv"
+    assert run_cli("detect", "--scores", run["val_scores"], "--threshold", run["threshold"],
+                   "--out", verdicts) == 0
+    n_val = len(run["val"].read_text().splitlines())
+    other = tmp / "other.tsv"  # a labeled file with as many rows as val.txt
+    other.write_text("".join(run["test"].read_text().splitlines(keepends=True)[:n_val]))
+    return ["eval", "--verdicts", verdicts, "--test", other, "--out", tmp / "m.json"]
+
+
+def _ablate_finetune_with_another_vocab(run, tmp):
+    vocab = tmp / "other_vocab.txt"
+    vocab.write_text("[PAD]\n[UNK]\n[MASK]\n[CLS]\nalpha\n")
+    return ["ablate-finetune", "--checkpoint", run["ckpt"], "--vocab", vocab, "--val", run["val"],
+            "--test", run["test"], "--out", tmp / "ft.json"]
+
+
+def _clean_with_short_labels(run, tmp):
+    labels = tmp / "short.labels"
+    labels.write_text(run["labels"].read_text().splitlines(keepends=True)[0])
+    return ["clean", "--in", run["raw"], "--out", tmp / "c.log", "--labels", labels]
+
+
 def _threshold_with(**changes):
     def make(run, tmp):
         doc = json.loads(run["threshold"].read_text())
@@ -366,6 +411,12 @@ BAD_INPUTS = {
     "threshold-n-calibration-a-float": ("ConfigInvalid", _threshold_with(n_calibration=2.5)),
     "threshold-repeats-a-bool": ("ConfigInvalid", _threshold_with(repeats=True)),
     "threshold-digest-a-number": ("ConfigInvalid", _threshold_with(checkpoint_hash=5)),
+    "checkpoint-missing-a-tensor": ("MalformedInput", _checkpoint_with_tensor("layers.1.ffn.w2", None)),
+    "checkpoint-out-w-3x3": ("MalformedInput", _checkpoint_with_tensor("out.w", np.zeros((3, 3), np.float32))),
+    "vocab-without-specials": ("MalformedInput", _vocab_without_specials),
+    "eval-verdicts-of-another-file": ("MalformedInput", _eval_of_val_verdicts_against_another_file),
+    "ablate-finetune-other-vocab": ("VocabMismatch", _ablate_finetune_with_another_vocab),
+    "clean-short-labels": ("LengthMismatch", _clean_with_short_labels),
     "unknown-flag": ("ConfigInvalid", lambda r, t: ["calibrate", "--no-such-flag", 1]),
     "badly-typed-flag": ("ConfigInvalid", lambda r, t: ["synth", "--seed", "abc"]),
 }
