@@ -45,7 +45,7 @@ from .errors import (
     MissingInput,
     VocabMismatch,
 )
-from .manifest import digest_map, load_manifest, verify_inputs, write_manifest
+from .manifest import digest_map, file_digest, load_manifest, verify_inputs, write_manifest
 from .masking import MaskingStrategy
 from .model import ModelConfig
 from .normalize import CleanLog, clean_lines
@@ -303,10 +303,14 @@ def run_train(opts):
     ckpt = train(seqs, model_cfg, train_cfg, vocab_hash=vocab.digest())
     save_checkpoint(ckpt, opts["out"])
     log_path = opts.get("log") or opts["out"] + ".log.tsv"
+    tokens = sum(int(s.length) for s in seqs)  # content tokens per epoch
     write_table(
         log_path,
-        ["epoch", "mean_loss", "wall_time_s"],
-        [(i, loss, f"{secs:.3f}") for i, (loss, secs) in enumerate(zip(ckpt.history, ckpt.epoch_seconds))],
+        ["epoch", "mean_loss", "wall_time_s", "tokens_per_s"],
+        [
+            (i, loss, f"{secs:.3f}", f"{tokens / secs:.1f}")
+            for i, (loss, secs) in enumerate(zip(ckpt.history, ckpt.epoch_seconds))
+        ],
     )
     return [opts["in_"], opts["vocab"]], [opts["out"]], [log_path]
 
@@ -335,6 +339,7 @@ def run_score(opts):
     meta = {
         "checkpoint": ckpt.digest(),
         "vocab": vocab.digest(),
+        "input": file_digest(opts["in_"]),  # sha256 of the scored file, checked by eval
         "strategy": strategy.describe(),
         "repeats": reports[0].repeats if reports else 1,
         "seed": opts["seed"],
@@ -371,26 +376,17 @@ def run_detect(opts):
         (r["source_id"], r["line_no"], r["score"], t.value, verdict_label(r["score"], t.value))
         for r in rows
     ]
-    write_table(
-        opts["out"],
-        VERDICT_COLUMNS,
-        verdict_rows,
-        {"checkpoint": meta.get("checkpoint", ""), "threshold": t.value},
-    )
+    header = {"checkpoint": meta.get("checkpoint", ""), "threshold": t.value}
+    if "input" in meta:
+        header["input"] = meta["input"]
+    write_table(opts["out"], VERDICT_COLUMNS, verdict_rows, header)
     return [opts["scores"], opts["threshold"]], [opts["out"]], []
 
 
 def run_eval(opts):
     _require(opts, "verdicts", "test", "out")
-    _, rows = read_verdicts(opts["verdicts"])
+    meta, rows = read_verdicts(opts["verdicts"])
     texts, truth = load_labeled(opts["test"])
-    name = os.path.basename(str(opts["test"]))
-    refs = [(name, i) for i in range(len(texts))]
-    predicted = {(r["source_id"], r["line_no"]): r["label"] for r in rows}
-    if len(predicted) != len(rows) or predicted.keys() != set(refs):
-        raise MalformedInput(
-            f"{opts['verdicts']}: the verdict rows are not lines 0-{len(texts) - 1} of {name}, once each"
-        )
     inputs = [opts["verdicts"], opts["test"]]
     train_texts, cal_texts = [], []
     if opts.get("train"):
@@ -401,6 +397,17 @@ def run_eval(opts):
         inputs.append(opts["val"])
     if train_texts or cal_texts:
         assert_no_leakage(texts, train_texts, cal_texts)
+    if "input" not in meta:
+        raise MalformedInput(f"{opts['verdicts']}: the header has no input digest of the scored file")
+    name = os.path.basename(str(opts["test"]))
+    refs = [(name, i) for i in range(len(texts))]
+    predicted = {(r["source_id"], r["line_no"]): r["label"] for r in rows}
+    if len(predicted) != len(rows) or predicted.keys() != set(refs):
+        raise MalformedInput(
+            f"{opts['verdicts']}: the verdict rows are not lines 0-{len(texts) - 1} of {name}, once each"
+        )
+    if meta["input"] != file_digest(opts["test"]):
+        raise DigestMismatch(f"field input: {opts['verdicts']} was not scored from {opts['test']}")
     m = metrics([predicted[ref] for ref in refs], truth)
     doc = dataclasses.asdict(m)
     doc["n_test"] = len(texts)

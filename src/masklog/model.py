@@ -14,6 +14,20 @@ positions. When a caller passes those positions, the encoder output is
 gathered to the masked (row, position) pairs before the final layer norm, so
 the final LN, the |V|-wide head and the softmax run on n_masked rows only.
 Without them, full per-position distributions are formed.
+
+Below the head, a batch is unpadded (`_TokenRows`): its content tokens are
+gathered once into an [n_tokens, d] matrix, and the embedding sum, both
+layer norms, the Q/K/V/output projections and the feed-forward block run on
+those rows, forward and backward. Rows are scattered to [B, H, L, d/H] only
+for the attention core (scores, softmax, attention-weighted values), where
+padded keys are masked out. No row at a padding position is computed, and
+no id in a padding slot reaches the arithmetic. Dropout masks are drawn at
+the padded [B, L, d] shape and then gathered, so a seed gives the same draws
+whatever the layout. A batch without padding, which is every batch that scoring and
+the heatmap run (all variants of a log share its length), bypasses the
+gather and the scatter: its rows are the [B, L] grid itself, and its
+projections run as [B, L, d] products, as they did before unpadding, so
+scores are unchanged to the bit.
 """
 
 from __future__ import annotations
@@ -165,14 +179,41 @@ def _gelu(x):
     return 0.5 * x * (1.0 + t), t
 
 
-def _gelu_grad(x, t):
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+def _gelu_grad(x, t, dy):
+    """dy * GELU'(x) from the tanh `t` that `_gelu` returned, written into `dy`.
+
+    GELU'(x) = 0.5(1 + t) + 0.5x(1 - t^2) c(1 + 3a x^2), in that operation
+    order, computed in two scratch buffers instead of a temporary per operation.
+    """
+    du = np.multiply(x, 3.0 * _GELU_A)
+    du *= x
+    du += 1.0
+    du *= _GELU_C
+    second = np.multiply(t, t)
+    np.subtract(1.0, second, out=second)
+    second *= x
+    second *= 0.5
+    second *= du
+    first = np.add(t, 1.0, out=du)
+    first *= 0.5
+    first += second
+    dy *= first
+    return dy
 
 
-def _contract_bl(a, b):
-    """[B,L,M] x [B,L,N] -> [M,N], contracting batch and position."""
-    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+def _scatter_add(index, rows, n_out):
+    """[n_out, width] sums of `rows` grouped by `index`: `np.add.at` on zeros, in one pass.
+
+    A stable sort makes each index's rows one contiguous run, in input order.
+    Runs of one or two rows sum exactly as `np.add.at` does; `reduceat` adds a
+    longer run's tail pairwise, so its last bits may differ.
+    """
+    order = np.argsort(index, kind="stable")
+    sorted_index = index[order]
+    starts = np.flatnonzero(np.diff(sorted_index, prepend=-1))
+    out = np.zeros((n_out, rows.shape[1]), rows.dtype)
+    out[sorted_index[starts]] = np.add.reduceat(rows[order], starts, axis=0)
+    return out
 
 
 def _ln_forward(x, gain, offset):
@@ -183,24 +224,20 @@ def _ln_forward(x, gain, offset):
     xhat = xc * inv
     return gain * xhat + offset, (xhat, inv)
 
+
 def _ln_backward(dy, gain, cache):
+    """Gradients of a layer norm over [rows, d]: (dx, dgain, doffset)."""
     xhat, inv = cache
-    rows = tuple(range(dy.ndim - 1))
-    dgain = (dy * xhat).sum(rows)
-    doffset = dy.sum(rows)
+    tmp = np.multiply(dy, xhat)
+    dgain = tmp.sum(0)
+    doffset = dy.sum(0)
     dxh = dy * gain
-    dx = inv * (dxh - dxh.mean(-1, keepdims=True) - xhat * (dxh * xhat).mean(-1, keepdims=True))
-    return dx, dgain, doffset
-
-
-def _split_heads(x, n_heads):
-    b, l, d = x.shape
-    return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x):
-    b, h, l, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
+    m1 = dxh.mean(-1, keepdims=True)
+    m2 = np.multiply(dxh, xhat, out=tmp).mean(-1, keepdims=True)
+    dxh -= m1
+    dxh -= np.multiply(xhat, m2, out=tmp)
+    dxh *= inv
+    return dxh, dgain, doffset
 
 
 def _softmax(z):
@@ -209,76 +246,152 @@ def _softmax(z):
     return e / e.sum(-1, keepdims=True)
 
 
+class _TokenRows:
+    """A padded [B, L] batch's content tokens as the rows of an [n_tokens, width] matrix.
+
+    Rows follow the batch in row-major order with the padding slots left out.
+    A padding-free batch (every batch `score` and `heatmap` run) needs no
+    index: `valid` is None and its rows are the [B, L] grid itself, so every
+    method below reduces to reshapes and the forward pass does the same
+    arithmetic as it does on [B, L, width] arrays.
+    """
+
+    def __init__(self, lengths, padded: int):
+        self.grid = (len(lengths), padded)
+        self.lengths = lengths
+        self.valid = None if lengths.min() == padded else np.arange(padded) < lengths[:, None]
+
+    def gather(self, a):
+        """[B, L, ...] -> [n_tokens, ...]."""
+        return a.reshape((-1,) + a.shape[2:]) if self.valid is None else a[self.valid]
+
+    def scatter(self, rows):
+        """[n_tokens, ...] -> [B, L, ...], zeros in the padding slots."""
+        if self.valid is None:
+            return rows.reshape(self.grid + rows.shape[1:])
+        out = np.zeros(self.grid + rows.shape[1:], rows.dtype)
+        out[self.valid] = rows
+        return out
+
+    def positions(self):
+        """The position of each row within its sequence."""
+        return self.gather(np.broadcast_to(np.arange(self.grid[1]), self.grid))
+
+    def embed(self, ids, token, position):
+        """Token plus position embedding of every row."""
+        if self.valid is None:
+            return (token[ids] + position[: self.grid[1]]).reshape(-1, token.shape[1])
+        return token[ids[self.valid]] + position[self.positions()]
+
+    def affine(self, x, weight, bias):
+        """x @ weight + bias.
+
+        A padding-free batch is multiplied as [B, L, k], which numpy runs as
+        one product per sequence. The last bits of a product can depend on its
+        row count, so this keeps scores bit-identical to per-sequence products.
+        """
+        if self.valid is None:
+            return (x.reshape(self.grid + (-1,)) @ weight + bias).reshape(len(x), -1)
+        return x @ weight + bias
+
+    def to_heads(self, rows, n_heads):
+        """[n_tokens, d] -> [B, H, L, d / H] for the attention core."""
+        return self.scatter(rows.reshape(len(rows), n_heads, -1)).transpose(0, 2, 1, 3)
+
+    def from_heads(self, a):
+        """[B, H, L, d / H] -> [n_tokens, d]; padding slots are dropped."""
+        rows = self.gather(a.transpose(0, 2, 1, 3))
+        return rows.reshape(len(rows), -1)
+
+    def pick(self, rows, coords):
+        """The rows of the (sequence, position) pairs in `coords`."""
+        if self.valid is None:
+            return self.scatter(rows)[coords]
+        return rows[self.index(coords)]
+
+    def index(self, coords):
+        """Row number of each (sequence, position) pair in `coords`."""
+        bs, ps = coords
+        return (np.cumsum(self.lengths) - self.lengths)[bs] + ps
+
+
 def _forward_cached(
     params: Parameters, ids, lengths, train_mode: bool, seed: int, coords=None, dtype=np.float64
 ):
     """Forward pass keeping what the backward needs; `coords` = (rows, positions) to gather.
 
-    Every activation is computed in `dtype`. The attention bias and the dropout
-    masks are built in it too, because one float64 operand would promote the
-    whole pass back to float64.
+    Every activation outside the attention core is a `_TokenRows` matrix, one
+    row per content token. Every activation is computed in `dtype`. The
+    attention bias and the dropout masks are built in it too, because one
+    float64 operand would promote the whole pass back to float64.
     """
     cfg = params.config
     w = {k: v.astype(dtype, copy=False) for k, v in params.items()}
     n_batch, padded = ids.shape
     n_heads = cfg.n_heads
     scale = 1.0 / math.sqrt(cfg.d_model // n_heads)
+    tokens = _TokenRows(lengths, padded)
 
     drop = cfg.dropout_rate if train_mode else 0.0
     rng = np.random.default_rng((int(seed), _DROPOUT_STREAM)) if drop > 0.0 else None
 
-    def dropmask(shape):
+    def dropmask(width):
+        # drawn over the padded batch, so a draw does not depend on the row layout
         if rng is None:
             return None
-        return (rng.random(shape) >= drop).astype(dtype) / (1.0 - drop)
+        keep = tokens.gather(rng.random((n_batch, padded, width)) >= drop)
+        return keep.astype(dtype) / (1.0 - drop)
 
-    valid = np.arange(padded)[None, :] < lengths[:, None]
-    attn_bias = np.where(valid, 0.0, -np.inf).astype(dtype, copy=False)[:, None, None, :]
+    attn_bias = None
+    if tokens.valid is not None:
+        attn_bias = np.where(tokens.valid, 0.0, -np.inf).astype(dtype, copy=False)[:, None, None, :]
 
-    x = w["embed.token"][ids] + w["embed.position"][:padded][None, :, :]
-    emb_mask = dropmask(x.shape)
+    x = tokens.embed(ids, w["embed.token"], w["embed.position"])
+    emb_mask = dropmask(cfg.d_model)
     if emb_mask is not None:
         x = x * emb_mask
 
     cache = {
         "ids": ids,
-        "lengths": lengths,
+        "tokens": tokens,
         "emb_mask": emb_mask,
         "weights": w,
         "layers": [],
     }
     for i in range(cfg.n_layers):
         pre = f"layers.{i}."
-        lc: dict = {"x_in": x}
+        lc: dict = {}
         h, lc["ln1"] = _ln_forward(x, w[pre + "ln1.gain"], w[pre + "ln1.offset"])
         lc["h"] = h
-        q = _split_heads(h @ w[pre + "attn.wq"] + w[pre + "attn.bq"], n_heads)
-        k = _split_heads(h @ w[pre + "attn.wk"] + w[pre + "attn.bk"], n_heads)
-        v = _split_heads(h @ w[pre + "attn.wv"] + w[pre + "attn.bv"], n_heads)
-        scores = q @ k.transpose(0, 1, 3, 2) * scale + attn_bias
+        q, k, v = (
+            tokens.to_heads(tokens.affine(h, w[pre + "attn.w" + c], w[pre + "attn.b" + c]), n_heads)
+            for c in "qkv"
+        )
+        scores = q @ k.transpose(0, 1, 3, 2) * scale
+        if attn_bias is not None:
+            scores += attn_bias
         attn = _softmax(scores)
-        ctx = _merge_heads(attn @ v)
+        ctx = tokens.from_heads(attn @ v)
         lc.update(q=q, k=k, v=v, attn=attn, ctx=ctx)
-        ao = ctx @ w[pre + "attn.wo"] + w[pre + "attn.bo"]
-        lc["attn_mask"] = dropmask(ao.shape)
+        ao = tokens.affine(ctx, w[pre + "attn.wo"], w[pre + "attn.bo"])
+        lc["attn_mask"] = dropmask(cfg.d_model)
         if lc["attn_mask"] is not None:
             ao = ao * lc["attn_mask"]
         x = x + ao
-        lc["x_mid"] = x
         h2, lc["ln2"] = _ln_forward(x, w[pre + "ln2.gain"], w[pre + "ln2.offset"])
         lc["h2"] = h2
-        z1 = h2 @ w[pre + "ffn.w1"] + w[pre + "ffn.b1"]
+        z1 = tokens.affine(h2, w[pre + "ffn.w1"], w[pre + "ffn.b1"])
         fz, gelu_t = _gelu(z1)
         lc.update(z1=z1, fz=fz, gelu_t=gelu_t)
-        f2 = fz @ w[pre + "ffn.w2"] + w[pre + "ffn.b2"]
-        lc["ffn_mask"] = dropmask(f2.shape)
+        f2 = tokens.affine(fz, w[pre + "ffn.w2"], w[pre + "ffn.b2"])
+        lc["ffn_mask"] = dropmask(cfg.d_model)
         if lc["ffn_mask"] is not None:
             f2 = f2 * lc["ffn_mask"]
         x = x + f2
         cache["layers"].append(lc)
 
-    if coords is not None:
-        x = x[coords]  # [n_masked, d]: only these rows reach the head
+    # [n_masked, d]: only these rows reach the head; without coords, every slot does
+    x = tokens.scatter(x) if coords is None else tokens.pick(x, coords)
     hf, cache["final_ln"] = _ln_forward(x, w["final_ln.gain"], w["final_ln.offset"])
     cache["hf"] = hf
     logits = hf @ w["out.w"] + w["out.b"]
@@ -303,8 +416,10 @@ def forward(
     (row, position) pairs, and the output is [n_masked, vocab] in row-major
     order of the pairs as given.
 
-    Padding positions are excluded from attention, so a sequence's outputs do
-    not depend on what the padding slots hold or on its batch companions.
+    Padding positions are excluded from attention and never computed, so a
+    sequence's outputs do not depend on what the padding slots hold, nor, up to
+    rounding in a padded batch, on its batch companions. Padding positions in a
+    full per-position output hold the distribution of an all-zero encoder row.
     Dropout is active only in train_mode and is fully determined by `seed`.
     Weights already held as float64 are used without a copy.
     """
@@ -376,15 +491,17 @@ def loss_and_gradients(
     The final LN, head and softmax, forward and backward, run only on the
     masked (row, position) pairs; their input gradient is scattered back
     with accumulation, so a position listed twice counts twice, as it does
-    in the loss. When train_mode is on, the dropout masks drawn for the loss
-    are the same ones the gradients are propagated through.
+    in the loss. Below the head the backward runs on the content-token rows
+    the forward pass kept, so every weight gradient is one [n_tokens, m].T @
+    [n_tokens, n] product. When train_mode is on, the dropout masks drawn for
+    the loss are the same ones the gradients are propagated through.
     """
     cfg = params.config
     ids, lengths = _stack_batch(batch, cfg)
     bs, ps = _masked_coords(mask_positions, lengths)
     tgt = _target_ids(targets, ids.shape, bs, ps)
     cache = _forward_cached(params, ids, lengths, train_mode, seed, (bs, ps), dtype)
-    w = cache["weights"]
+    w, tokens = cache["weights"], cache["tokens"]
     loss, probs = _masked_loss(cache["logits"], tgt)
 
     n_masked = len(bs)
@@ -398,8 +515,7 @@ def loss_and_gradients(
     dtop, g["final_ln.gain"], g["final_ln.offset"] = _ln_backward(
         dhf, w["final_ln.gain"], cache["final_ln"]
     )
-    dx = np.zeros(ids.shape + (cfg.d_model,), dtype)
-    np.add.at(dx, (bs, ps), dtop)
+    dx = _scatter_add(tokens.index((bs, ps)), dtop, int(lengths.sum()))  # [n_tokens, d]
 
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
     for i in reversed(range(cfg.n_layers)):
@@ -407,47 +523,44 @@ def loss_and_gradients(
         lc = cache["layers"][i]
         # feed-forward branch
         df2 = dx if lc["ffn_mask"] is None else dx * lc["ffn_mask"]
-        g[pre + "ffn.w2"] = _contract_bl(lc["fz"], df2)
-        g[pre + "ffn.b2"] = df2.sum((0, 1))
-        dfz = df2 @ w[pre + "ffn.w2"].T
-        dz1 = dfz * _gelu_grad(lc["z1"], lc["gelu_t"])
-        g[pre + "ffn.w1"] = _contract_bl(lc["h2"], dz1)
-        g[pre + "ffn.b1"] = dz1.sum((0, 1))
-        dh2 = dz1 @ w[pre + "ffn.w1"].T
+        g[pre + "ffn.w2"] = lc["fz"].T @ df2
+        g[pre + "ffn.b2"] = df2.sum(0)
+        dz1 = _gelu_grad(lc["z1"], lc["gelu_t"], df2 @ w[pre + "ffn.w2"].T)
+        g[pre + "ffn.w1"] = lc["h2"].T @ dz1
+        g[pre + "ffn.b1"] = dz1.sum(0)
         dmid, g[pre + "ln2.gain"], g[pre + "ln2.offset"] = _ln_backward(
-            dh2, w[pre + "ln2.gain"], lc["ln2"]
+            dz1 @ w[pre + "ffn.w1"].T, w[pre + "ln2.gain"], lc["ln2"]
         )
-        dx = dx + dmid
+        dx += dmid
         # attention branch
         dao = dx if lc["attn_mask"] is None else dx * lc["attn_mask"]
-        g[pre + "attn.wo"] = _contract_bl(lc["ctx"], dao)
-        g[pre + "attn.bo"] = dao.sum((0, 1))
-        dctx = _split_heads(dao @ w[pre + "attn.wo"].T, cfg.n_heads)
+        g[pre + "attn.wo"] = lc["ctx"].T @ dao
+        g[pre + "attn.bo"] = dao.sum(0)
+        dctx = tokens.to_heads(dao @ w[pre + "attn.wo"].T, cfg.n_heads)
         attn, q, k, v = lc["attn"], lc["q"], lc["k"], lc["v"]
-        dattn = dctx @ v.transpose(0, 1, 3, 2)
         dv = attn.transpose(0, 1, 3, 2) @ dctx
-        dscores = attn * (dattn - (attn * dattn).sum(-1, keepdims=True))
-        dq = dscores @ k * scale
-        dk = dscores.transpose(0, 1, 3, 2) @ q * scale
-        dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+        dscores = dctx @ v.transpose(0, 1, 3, 2)  # d attn, then d scores in place
+        dscores -= np.multiply(attn, dscores).sum(-1, keepdims=True)
+        dscores *= attn
+        dq = dscores @ k
+        dq *= scale
+        dk = dscores.transpose(0, 1, 3, 2) @ q
+        dk *= scale
         h = lc["h"]
         dh = np.zeros_like(h)
-        for nm, dproj in (("wq", dq_m), ("wk", dk_m), ("wv", dv_m)):
-            g[pre + "attn." + nm] = _contract_bl(h, dproj)
-            g[pre + "attn.b" + nm[1]] = dproj.sum((0, 1))
-            dh += dproj @ w[pre + "attn." + nm].T
+        for c, dproj in (("q", dq), ("k", dk), ("v", dv)):
+            dproj = tokens.from_heads(dproj)
+            g[pre + "attn.w" + c] = h.T @ dproj
+            g[pre + "attn.b" + c] = dproj.sum(0)
+            dh += dproj @ w[pre + "attn.w" + c].T
         dattn_in, g[pre + "ln1.gain"], g[pre + "ln1.offset"] = _ln_backward(
             dh, w[pre + "ln1.gain"], lc["ln1"]
         )
-        dx = dx + dattn_in
+        dx += dattn_in
 
     demb = dx if cache["emb_mask"] is None else dx * cache["emb_mask"]
-    dtok = np.zeros((cfg.vocab_size, cfg.d_model), dtype)
-    np.add.at(dtok, ids.ravel(), demb.reshape(-1, cfg.d_model))
-    g["embed.token"] = dtok
-    dpos = np.zeros((cfg.max_len, cfg.d_model), dtype)
-    dpos[: ids.shape[1]] = demb.sum(0)
-    g["embed.position"] = dpos
+    g["embed.token"] = _scatter_add(tokens.gather(ids), demb, cfg.vocab_size)
+    g["embed.position"] = _scatter_add(tokens.positions(), demb, cfg.max_len)
 
     for name, grad in g.items():
         if grad.shape != params[name].shape:

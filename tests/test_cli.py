@@ -9,9 +9,11 @@ import pytest
 
 import masklog
 from masklog.checkpoint import load_container, save_container
-from masklog.cli import main, read_scores, read_threshold, read_verdicts
+from masklog.cli import main, read_scores, read_table, read_threshold, read_verdicts
 from masklog.errors import NoAnomaliesInTruth
 from masklog.manifest import file_digest, load_manifest, manifest_path_for
+from masklog.normalize import CleanLog
+from masklog.vocab import encode, load_vocab
 
 from conftest import run_cli
 
@@ -103,6 +105,23 @@ class TestArtifacts:
         assert len(scores) == len(verdicts)
         for s, v in zip(scores, verdicts):
             assert v["label"] == ("anomalous" if s["score"] > t.value else "normal")
+
+    def test_scores_and_verdicts_name_the_scored_file(self, small_run):
+        assert read_scores(small_run["val_scores"])[0]["input"] == file_digest(small_run["val"])
+        assert read_scores(small_run["test_scores"])[0]["input"] == file_digest(small_run["test"])
+        assert read_verdicts(small_run["verdicts"])[0]["input"] == file_digest(small_run["test"])
+
+    def test_train_log_reports_throughput(self, small_run):
+        vocab = load_vocab(small_run["vocab"])
+        texts = small_run["train"].read_text().splitlines()
+        tokens = sum(encode(CleanLog(text=t, raw_ref=("", 0)), vocab, 48).length for t in texts)
+        columns = {"epoch": int, "mean_loss": float, "wall_time_s": float, "tokens_per_s": float}
+        _, rows = read_table(str(small_run["ckpt"]) + ".log.tsv", columns)
+        assert [r["epoch"] for r in rows] == [0, 1, 2, 3]
+        for r in rows:  # wall_time_s is rounded to the millisecond
+            secs = r["wall_time_s"]
+            assert tokens / (secs + 5e-4) <= r["tokens_per_s"] <= tokens / (secs - 5e-4)
+        assert "tokens_per_s" not in load_container(small_run["ckpt"])[0]
 
     def test_eval_report(self, small_run):
         doc = json.loads(small_run["metrics"].read_text())
@@ -289,7 +308,8 @@ class TestErrorPaths:
         test = tmp_path / "normals.tsv"
         test.write_text("a b\tnormal\nc d\tnormal\n")
         verdicts = tmp_path / "v.tsv"
-        verdicts.write_text("source_id\tline_no\tscore\tthreshold\tlabel\n"
+        verdicts.write_text(f"# input={file_digest(test)}\n"
+                            "source_id\tline_no\tscore\tthreshold\tlabel\n"
                             "normals.tsv\t0\t2.0\t1.0\tanomalous\n"
                             "normals.tsv\t1\t0.5\t1.0\tnormal\n")
         out = tmp_path / "m.json"
@@ -367,6 +387,20 @@ def _eval_of_val_verdicts_against_another_file(run, tmp):
     return ["eval", "--verdicts", verdicts, "--test", other, "--out", tmp / "m.json"]
 
 
+def _eval_against_a_reordered_copy_of_test(run, tmp):
+    other = tmp / "other" / run["test"].name  # same base name and row count, lines reversed
+    other.parent.mkdir()
+    other.write_text("".join(reversed(run["test"].read_text().splitlines(keepends=True))))
+    return ["eval", "--verdicts", run["verdicts"], "--test", other, "--out", tmp / "m.json"]
+
+
+def _eval_of_verdicts_without_input_digest(run, tmp):
+    verdicts = tmp / "v.tsv"
+    lines = run["verdicts"].read_text().splitlines(keepends=True)
+    verdicts.write_text("".join(line for line in lines if not line.startswith("# input=")))
+    return ["eval", "--verdicts", verdicts, "--test", run["test"], "--out", tmp / "m.json"]
+
+
 def _ablate_finetune_with_another_vocab(run, tmp):
     vocab = tmp / "other_vocab.txt"
     vocab.write_text("[PAD]\n[UNK]\n[MASK]\n[CLS]\nalpha\n")
@@ -415,6 +449,8 @@ BAD_INPUTS = {
     "checkpoint-out-w-3x3": ("MalformedInput", _checkpoint_with_tensor("out.w", np.zeros((3, 3), np.float32))),
     "vocab-without-specials": ("MalformedInput", _vocab_without_specials),
     "eval-verdicts-of-another-file": ("MalformedInput", _eval_of_val_verdicts_against_another_file),
+    "eval-reordered-test-of-the-same-name": ("DigestMismatch", _eval_against_a_reordered_copy_of_test),
+    "eval-verdicts-without-input-digest": ("MalformedInput", _eval_of_verdicts_without_input_digest),
     "ablate-finetune-other-vocab": ("VocabMismatch", _ablate_finetune_with_another_vocab),
     "clean-short-labels": ("LengthMismatch", _clean_with_short_labels),
     "unknown-flag": ("ConfigInvalid", lambda r, t: ["calibrate", "--no-such-flag", 1]),

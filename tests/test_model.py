@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from masklog import model
 from masklog.errors import (
     NoMaskedPositions,
     NonFiniteActivation,
@@ -12,8 +14,12 @@ from masklog.model import (
     LN_EPS,
     ModelConfig,
     _forward_cached,
+    _gelu,
+    _gelu_grad,
     _masked_coords,
+    _scatter_add,
     _stack_batch,
+    _TokenRows,
     backward,
     forward,
     init_params,
@@ -350,19 +356,41 @@ class TestFloat32Path:
 
     CFG = dict(vocab_size=20, d_model=16, n_heads=2, n_layers=2, d_ff=24, max_len=8)
 
-    def test_no_silent_promotion(self, tiny_batch):
-        batch, targets, positions = tiny_batch
+    def test_no_silent_promotion(self, tiny_batch, monkeypatch):
+        batch, targets, positions = tiny_batch  # ragged: lengths 5, 8 and 3
         params = init_params(ModelConfig(**self.CFG, dropout_rate=0.25), 4)
         ids, lengths = _stack_batch(batch, params.config)
         cache = _forward_cached(params, ids, lengths, True, 9, _masked_coords(positions, lengths),
                                 np.float32)
+        assert cache["tokens"].valid is not None  # run unpadded, not as a [B, L] grid
         arrays = dict(_float_arrays(cache))
         assert "cache.logits" in arrays and "cache.layers[1].ffn_mask" in arrays
         assert {p: a.dtype for p, a in arrays.items() if a.dtype != np.float32} == {}
+
+        produced = []  # (helper, every float array it returned) during one training step
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                for a in out if isinstance(out, tuple) else (out,):
+                    if isinstance(a, np.ndarray) and a.dtype.kind == "f":
+                        produced.append((fn.__name__, a.dtype))
+                return out
+            return wrapped
+
+        for name in ("gather", "scatter", "to_heads", "from_heads", "pick", "affine", "embed"):
+            monkeypatch.setattr(_TokenRows, name, spy(getattr(_TokenRows, name)))
+        for name in ("_scatter_add", "_gelu_grad", "_ln_backward"):
+            monkeypatch.setattr(model, name, spy(getattr(model, name)))
         loss, grads = loss_and_gradients(params, batch, targets, positions, train_mode=True, seed=9,
                                          dtype=np.float32)
         assert isinstance(loss, float)
         assert {n: g.dtype for n, g in grads.items() if g.dtype != np.float32} == {}
+        assert {n for n, _ in produced} == {
+            "gather", "scatter", "to_heads", "from_heads", "pick", "affine", "embed",
+            "_scatter_add", "_gelu_grad", "_ln_backward",
+        }
+        assert [(n, dt) for n, dt in produced if dt != np.float32] == []
 
     @pytest.mark.parametrize("dropout_rate", [0.0, 0.25])
     def test_matches_float64(self, tiny_batch, dropout_rate):
@@ -387,6 +415,96 @@ class TestFloat32Path:
         assert a.digest() == b.digest()
         assert a.history == b.history
         assert all(t.dtype == np.float32 for _, t in a.params.items())
+
+
+class TestUnpaddedBatch:
+    """A padded batch runs on its content rows only: float64, dropout off, the
+    same sequences one at a time are the reference."""
+
+    CFG = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=2, d_ff=24, max_len=8)
+    POSITIONS = [[0, 2], [1, 4, 6, 7], [3]]
+
+    def _ragged(self):
+        rng = np.random.default_rng(5)
+        batch = [make_seq(n, rng=rng) for n in (3, 8, 5)]
+        return batch, rng.integers(4, 20, size=(3, 8))
+
+    def test_batch_is_the_masked_count_weighted_sum_of_its_sequences(self):
+        batch, targets = self._ragged()
+        params = init_params(self.CFG, 6)
+        loss, grads = loss_and_gradients(params, batch, targets, self.POSITIONS)
+        total = sum(len(p) for p in self.POSITIONS)
+        ref_loss, ref = 0.0, {name: np.zeros(t.shape) for name, t in params.items()}
+        for seq, tgt, pos in zip(batch, targets, self.POSITIONS):
+            l1, g1 = loss_and_gradients(params, [seq], tgt[None], [pos])
+            ref_loss += len(pos) / total * l1
+            for name in ref:
+                ref[name] += len(pos) / total * g1[name]
+        assert abs(loss - ref_loss) <= 1e-12
+        for name in ref:
+            assert np.abs(grads[name] - ref[name]).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.25])
+    def test_padding_slot_ids_change_nothing(self, dropout_rate):
+        batch, targets = self._ragged()
+        params = init_params(dataclasses.replace(self.CFG, dropout_rate=dropout_rate), 6)
+        rng = np.random.default_rng(8)
+        noisy = []
+        for seq in batch:
+            ids = seq.ids.copy()
+            ids[seq.length:] = rng.integers(0, 20, size=len(ids) - seq.length)
+            noisy.append(TokenSequence(ids=ids, length=seq.length))
+        loss, grads = loss_and_gradients(params, batch, targets, self.POSITIONS, True, 3)
+        loss_n, grads_n = loss_and_gradients(params, noisy, targets, self.POSITIONS, True, 3)
+        assert loss == loss_n
+        for name in grads:
+            assert grads[name].tobytes() == grads_n[name].tobytes(), name
+
+
+class TestBackwardHelpers:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("index, n_out", [
+        ([2], 4),  # a single row
+        ([5, 0, 5, 1, 0], 7),  # ids 2, 3, 4 and 6 never occur; no id more than twice
+        ([3, 3], 4),
+    ])
+    def test_scatter_add_equals_add_at(self, dtype, index, n_out):
+        index = np.array(index)
+        rows = np.random.default_rng(len(index)).normal(size=(len(index), 6)).astype(dtype)
+        expected = np.zeros((n_out, 6), dtype)
+        np.add.at(expected, index, rows)
+        got = _scatter_add(index, rows, n_out)
+        assert got.dtype == dtype
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scatter_add_of_long_runs_is_add_at_up_to_summation_order(self, dtype):
+        rng = np.random.default_rng(0)
+        index = rng.integers(0, 5, size=400)  # about 80 rows per id; id 5 never occurs
+        rows = (rng.normal(size=(400, 6)) * 10.0 ** rng.integers(-3, 4, size=(400, 1))).astype(dtype)
+        expected = np.zeros((6, 6), dtype)
+        np.add.at(expected, index, rows)
+        magnitude = np.zeros((6, 6))
+        np.add.at(magnitude, index, np.abs(rows.astype(np.float64)))
+        count = np.bincount(index, minlength=6)[:, None]
+        got = _scatter_add(index, rows, 6)
+        assert got.dtype == dtype
+        # two summation orders of m terms differ by at most (m - 1) * eps * sum |term|
+        bound = np.maximum(count - 1, 0) * np.finfo(dtype).eps * magnitude
+        assert np.all(np.abs(got.astype(np.float64) - expected) <= bound)
+        assert np.all(got[5] == 0.0)
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_gelu_grad_matches_the_closed_form(self, dtype, rtol):
+        rng = np.random.default_rng(1)
+        x = rng.normal(0.0, 3.0, size=(64, 24)).astype(dtype)
+        dy = rng.normal(size=x.shape).astype(dtype)
+        _, t = _gelu(x)
+        c, a = math.sqrt(2.0 / math.pi), 0.044715
+        expected = (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (c * (1.0 + 3.0 * a * x * x))) * dy
+        got = _gelu_grad(x, t, dy.copy())
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, expected, rtol=rtol, atol=0.0)
 
 
 class TestLossDecreases:
