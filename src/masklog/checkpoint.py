@@ -12,6 +12,7 @@ import struct
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import MalformedInput
 
 _MAGIC = b"MLCKPT01"
@@ -20,7 +21,7 @@ _MAGIC = b"MLCKPT01"
 def save_container(path, header: dict, tensors: dict) -> None:
     header_text = "".join(f"{k}={header[k]}\n" for k in sorted(header))
     header_bytes = header_text.encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path, binary=True) as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", len(header_bytes)))
         f.write(header_bytes)

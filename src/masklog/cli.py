@@ -17,6 +17,7 @@ import sys
 import time
 
 from . import __version__
+from .atomic import atomic_open
 from .calibrate import Threshold, select_threshold
 from .corpus import (
     LABEL_ANOMALOUS,
@@ -60,7 +61,7 @@ def _fmt(x) -> str:
 
 
 def _dump_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         json.dump(obj, f, sort_keys=True, indent=2)
         f.write("\n")
 
@@ -102,7 +103,7 @@ def _cell(value) -> str:
 def write_table(path, columns, rows, meta: dict | None = None) -> None:
     """Sorted `# key=value` header lines, a tab-separated column line, then one line per row."""
     meta = meta or {}
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         for key in sorted(meta):
             f.write(f"# {key}={_cell(meta[key])}\n")
         f.write("\t".join(columns) + "\n")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import LengthMismatch, MalformedInput, TooFewLogs
 from .normalize import DEFAULT_CONFIG, CleanLog, RawLog, normalize
 
@@ -283,7 +284,7 @@ def load_lines(path) -> list[str]:
 
 
 def write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         for line in lines:
             f.write(line + "\n")
 

@@ -1,12 +1,23 @@
-"""Run manifests: enough recorded state to re-run a command bit-exactly."""
+"""Run manifests: enough recorded state to re-run a command bit-exactly.
+
+A manifest also records how the run went (`runtime`: peak resident memory and
+the python, numpy and BLAS versions); `rerun` reads only the command, its
+options and its inputs.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import platform
+import resource
+import sys
 import time
 
+import numpy as np
+
+from .atomic import atomic_open
 from .errors import DigestMismatch, MissingInput
 
 TOOL_NAME = "masklog"
@@ -36,6 +47,22 @@ def manifest_path_for(artifact_path) -> str:
     return str(artifact_path) + ".manifest.json"
 
 
+def _runtime() -> dict:
+    """Peak resident set size of this process so far, and the library versions it runs."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy without a dict-valued build config
+        blas = "unknown"
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
+    return {
+        "peak_rss_bytes": int(peak if sys.platform == "darwin" else peak * 1024),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+    }
+
+
 def write_manifest(
     command: str,
     options: dict,
@@ -55,11 +82,12 @@ def write_manifest(
         "logs": logs or {},
         "started_at": started_at,
         "finished_at": time.time(),
+        "runtime": _runtime(),
     }
     primary = next(iter(outputs)) if outputs else None
     if primary is not None:
         path = manifest_path_for(primary)
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
+        with atomic_open(path) as f:
             json.dump(doc, f, sort_keys=True, indent=2)
             f.write("\n")
         doc["manifest_path"] = path

@@ -13,7 +13,10 @@ The loss and the anomaly score read the head's distribution only at masked
 positions. When a caller passes those positions, the encoder output is
 gathered to the masked (row, position) pairs before the final layer norm, so
 the final LN, the |V|-wide head and the softmax run on n_masked rows only.
-Without them, full per-position distributions are formed.
+`forward`, which no backward follows, goes further: the top layer computes K
+and V for every row, and Q, the attention core, the output projection, LN2 and
+the FFN only for the masked rows. Without masked positions, full
+per-position distributions are formed.
 
 Below the head, a batch is unpadded (`_TokenRows`): its content tokens are
 gathered once into an [n_tokens, d] matrix, and the embedding sum, both
@@ -23,11 +26,15 @@ for the attention core (scores, softmax, attention-weighted values), where
 padded keys are masked out. No row at a padding position is computed, and
 no id in a padding slot reaches the arithmetic. Dropout masks are drawn at
 the padded [B, L, d] shape and then gathered, so a seed gives the same draws
-whatever the layout. A batch without padding, which is every batch that scoring and
-the heatmap run (all variants of a log share its length), bypasses the
-gather and the scatter: its rows are the [B, L] grid itself, and its
-projections run as [B, L, d] products, as they did before unpadding, so
-scores are unchanged to the bit.
+whatever the layout. A batch without padding, which is every batch that
+scoring and the heatmap run (they batch logs of one length), bypasses the
+gather and the scatter: its rows are the [B, L] grid itself.
+
+Every projection, the head included, is one 2-D `rows @ W` product of at
+least two rows (`_TokenRows.affine`). With OpenBLAS at the model's widths, a
+row's bits in such a product do not depend on how many rows it has, so a log
+scores the same alone as in a batch of logs; see README for the widths this
+was checked at.
 """
 
 from __future__ import annotations
@@ -241,9 +248,11 @@ def _ln_backward(dy, gain, cache):
 
 
 def _softmax(z):
-    m = z.max(-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(-1, keepdims=True)
+    """Softmax over the last axis, in one new array."""
+    e = z - z.max(-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(-1, keepdims=True)
+    return e
 
 
 class _TokenRows:
@@ -251,9 +260,8 @@ class _TokenRows:
 
     Rows follow the batch in row-major order with the padding slots left out.
     A padding-free batch (every batch `score` and `heatmap` run) needs no
-    index: `valid` is None and its rows are the [B, L] grid itself, so every
-    method below reduces to reshapes and the forward pass does the same
-    arithmetic as it does on [B, L, width] arrays.
+    index: `valid` is None and its rows are the [B, L] grid itself, so
+    `gather`, `scatter` and `embed` reduce to reshapes.
     """
 
     def __init__(self, lengths, padded: int):
@@ -284,15 +292,15 @@ class _TokenRows:
         return token[ids[self.valid]] + position[self.positions()]
 
     def affine(self, x, weight, bias):
-        """x @ weight + bias.
+        """x @ weight + bias for 2-D x, as one product of at least two rows.
 
-        A padding-free batch is multiplied as [B, L, k], which numpy runs as
-        one product per sequence. The last bits of a product can depend on its
-        row count, so this keeps scores bit-identical to per-sequence products.
+        One row is multiplied as two equal rows and the first is kept: BLAS
+        runs a one-row product on its matrix-vector path, whose last bits
+        differ from the same row's inside a larger product.
         """
-        if self.valid is None:
-            return (x.reshape(self.grid + (-1,)) @ weight + bias).reshape(len(x), -1)
-        return x @ weight + bias
+        y = (x[[0, 0]] @ weight)[:1] if len(x) == 1 else x @ weight
+        y += bias
+        return y
 
     def to_heads(self, rows, n_heads):
         """[n_tokens, d] -> [B, H, L, d / H] for the attention core."""
@@ -315,8 +323,31 @@ class _TokenRows:
         return (np.cumsum(self.lengths) - self.lengths)[bs] + ps
 
 
+def _masked_attention(q, k, v, bs, attn_bias, scale):
+    """Attention of masked query rows q [n_masked, d] over every key of their own sequence.
+
+    `bs` holds each query's sequence, sequence-major as `_masked_coords` builds
+    it; k and v are [B, H, L, d / H]. When every sequence has the same number
+    m of queries (every scoring batch), they run as [B, H, m, L] scores
+    against k and v in place; otherwise each query runs alone against a copy
+    of its sequence's keys.
+    """
+    n_batch, n_heads = k.shape[:2]
+    per_seq = len(bs) // n_batch
+    if not np.array_equal(bs, np.repeat(np.arange(n_batch), per_seq)):
+        k, v, per_seq = k[bs], v[bs], 1
+        attn_bias = None if attn_bias is None else attn_bias[bs]
+    q = q.reshape(-1, per_seq, n_heads, q.shape[1] // n_heads).transpose(0, 2, 1, 3)
+    scores = q @ k.transpose(0, 1, 3, 2) * scale
+    if attn_bias is not None:
+        scores += attn_bias
+    ctx = _softmax(scores) @ v
+    return ctx.transpose(0, 2, 1, 3).reshape(len(bs), -1)
+
+
 def _forward_cached(
-    params: Parameters, ids, lengths, train_mode: bool, seed: int, coords=None, dtype=np.float64
+    params: Parameters, ids, lengths, train_mode: bool, seed: int, coords=None, dtype=np.float64,
+    for_backward: bool = True,
 ):
     """Forward pass keeping what the backward needs; `coords` = (rows, positions) to gather.
 
@@ -324,6 +355,12 @@ def _forward_cached(
     row per content token. Every activation is computed in `dtype`. The
     attention bias and the dropout masks are built in it too, because one
     float64 operand would promote the whole pass back to float64.
+
+    Without `for_backward`, no layer's activations are kept, and with
+    `coords` the top layer runs on the masked rows alone past its K/V
+    projections.
+    An `out.w` wider than the vocabulary (zero columns padding the scoring
+    copy) gives logits whose extra columns are dropped.
     """
     cfg = params.config
     w = {k: v.astype(dtype, copy=False) for k, v in params.items()}
@@ -331,6 +368,7 @@ def _forward_cached(
     n_heads = cfg.n_heads
     scale = 1.0 / math.sqrt(cfg.d_model // n_heads)
     tokens = _TokenRows(lengths, padded)
+    rows = None  # the masked pairs' row numbers, once the top layer runs on those rows alone
 
     drop = cfg.dropout_rate if train_mode else 0.0
     rng = np.random.default_rng((int(seed), _DROPOUT_STREAM)) if drop > 0.0 else None
@@ -340,6 +378,8 @@ def _forward_cached(
         if rng is None:
             return None
         keep = tokens.gather(rng.random((n_batch, padded, width)) >= drop)
+        if rows is not None:
+            keep = keep[rows]
         return keep.astype(dtype) / (1.0 - drop)
 
     attn_bias = None
@@ -363,16 +403,23 @@ def _forward_cached(
         lc: dict = {}
         h, lc["ln1"] = _ln_forward(x, w[pre + "ln1.gain"], w[pre + "ln1.offset"])
         lc["h"] = h
-        q, k, v = (
+        k, v = (
             tokens.to_heads(tokens.affine(h, w[pre + "attn.w" + c], w[pre + "attn.b" + c]), n_heads)
-            for c in "qkv"
+            for c in "kv"
         )
-        scores = q @ k.transpose(0, 1, 3, 2) * scale
-        if attn_bias is not None:
-            scores += attn_bias
-        attn = _softmax(scores)
-        ctx = tokens.from_heads(attn @ v)
-        lc.update(q=q, k=k, v=v, attn=attn, ctx=ctx)
+        if not for_backward and coords is not None and i == cfg.n_layers - 1:
+            rows = tokens.index(coords)
+            x = x[rows]
+            q = tokens.affine(h[rows], w[pre + "attn.wq"], w[pre + "attn.bq"])
+            ctx = _masked_attention(q, k, v, coords[0], attn_bias, scale)
+        else:
+            q = tokens.to_heads(tokens.affine(h, w[pre + "attn.wq"], w[pre + "attn.bq"]), n_heads)
+            scores = q @ k.transpose(0, 1, 3, 2) * scale
+            if attn_bias is not None:
+                scores += attn_bias
+            attn = _softmax(scores)
+            ctx = tokens.from_heads(attn @ v)
+            lc.update(q=q, k=k, v=v, attn=attn, ctx=ctx)
         ao = tokens.affine(ctx, w[pre + "attn.wo"], w[pre + "attn.bo"])
         lc["attn_mask"] = dropmask(cfg.d_model)
         if lc["attn_mask"] is not None:
@@ -388,13 +435,18 @@ def _forward_cached(
         if lc["ffn_mask"] is not None:
             f2 = f2 * lc["ffn_mask"]
         x = x + f2
-        cache["layers"].append(lc)
+        if for_backward:
+            cache["layers"].append(lc)
 
     # [n_masked, d]: only these rows reach the head; without coords, every slot does
-    x = tokens.scatter(x) if coords is None else tokens.pick(x, coords)
+    if coords is None:
+        x = tokens.scatter(x)
+    elif rows is None:
+        x = tokens.pick(x, coords)
     hf, cache["final_ln"] = _ln_forward(x, w["final_ln.gain"], w["final_ln.offset"])
     cache["hf"] = hf
-    logits = hf @ w["out.w"] + w["out.b"]
+    logits = tokens.affine(hf.reshape(-1, hf.shape[-1]), w["out.w"], w["out.b"])
+    logits = logits[:, : cfg.vocab_size].reshape(hf.shape[:-1] + (cfg.vocab_size,))
     if not np.isfinite(logits).all():
         raise NonFiniteActivation("forward pass produced non-finite logits")
     cache["logits"] = logits
@@ -412,9 +464,9 @@ def forward(
 
     Without mask_positions the output holds a distribution for every
     position, [batch, padded_len, vocab]. With mask_positions (one list of
-    positions per sequence) the final LN, head and softmax run only on those
-    (row, position) pairs, and the output is [n_masked, vocab] in row-major
-    order of the pairs as given.
+    positions per sequence) the top layer past its K/V projections, the final
+    LN, the head and the softmax run only on those (row, position) pairs, and
+    the output is [n_masked, vocab] in row-major order of the pairs as given.
 
     Padding positions are excluded from attention and never computed, so a
     sequence's outputs do not depend on what the padding slots hold, nor, up to
@@ -425,7 +477,7 @@ def forward(
     """
     ids, lengths = _stack_batch(batch, params.config)
     coords = None if mask_positions is None else _masked_coords(mask_positions, lengths)
-    cache = _forward_cached(params, ids, lengths, train_mode, seed, coords)
+    cache = _forward_cached(params, ids, lengths, train_mode, seed, coords, for_backward=False)
     logits = cache["logits"]
     return ForwardOutput(logits=logits, probabilities=_softmax(logits))
 
@@ -472,6 +524,18 @@ def mlm_loss(out: ForwardOutput, targets, mask_positions) -> float:
     bs, ps = _masked_coords(mask_positions, np.full(n_batch, padded, dtype=np.int64))
     loss, _ = _masked_loss(out.logits[bs, ps], _target_ids(targets, (n_batch, padded), bs, ps))
     return loss
+
+
+def masked_loss(params: Parameters, batch: list[TokenSequence], targets, mask_positions) -> float:
+    """Mean negative log-probability of the true tokens at masked positions, forward only.
+
+    Runs `forward`'s pass (dropout off, top layer trimmed to the masked
+    rows), so it equals `loss_and_gradients`' loss up to rounding.
+    """
+    ids, lengths = _stack_batch(batch, params.config)
+    coords = _masked_coords(mask_positions, lengths)
+    cache = _forward_cached(params, ids, lengths, False, 0, coords, for_backward=False)
+    return _masked_loss(cache["logits"], _target_ids(targets, ids.shape, *coords))[0]
 
 
 def loss_and_gradients(

@@ -1,9 +1,12 @@
 """Anomaly scoring: true-token probabilities under masking, aggregated per log.
 
 A log's score is the negative mean natural log of the probabilities the model
-assigns to the true tokens at masked positions. Logs are scored one at a time
-(each forward pass sees exactly one sequence family), so results are
-independent of corpus batching and safely parallel.
+assigns to the true tokens at masked positions. `score_corpus` groups logs by
+content length and scores each group in chunks of whole logs, one `forward`
+per chunk of at most CHUNK_ROWS token rows, so no chunk holds padding.
+`score_log` is the same code with a chunk of one log. A log scores to the
+same bits alone or in any chunk (see `model` for why), so a report does not
+depend on the corpus around it or on the thread count.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .train import Checkpoint, derive_seed
 PROB_FLOOR = 1e-12  # guards -ln(0) on underflowed softmax cells
 
 _STREAM_SCORE = 5
+CHUNK_ROWS = 256  # token rows (variants x length) per forward pass, unless one log's variants hold more
 
 
 def recompute_score(token_probs) -> float:
@@ -51,13 +55,13 @@ class HeatmapMatrix:
 
 
 def _true_token_probs(ckpt: Checkpoint, plans) -> list:
-    """One batched forward over a log's masked variants; reads P(true | context).
+    """One batched forward over masked variants of one length; reads P(true | context).
 
     The head runs only at the masked positions, and the weights are the
-    checkpoint's float64 copy, cast once per checkpoint.
+    checkpoint's float64 scoring copy, cast once per checkpoint.
     """
     out = forward(
-        ckpt.float64_params(),
+        ckpt.scoring_params(),
         [p.masked_sequence for p in plans],
         mask_positions=[p.masked_indices for p in plans],
     )
@@ -65,6 +69,33 @@ def _true_token_probs(ckpt: Checkpoint, plans) -> list:
     true_ids = np.concatenate([p.original_ids for p in plans])
     probs = out.probabilities[np.arange(len(positions)), true_ids]
     return [(pos, max(float(prob), PROB_FLOOR)) for pos, prob in zip(positions, probs)]
+
+
+def _plans(seq, strategy: MaskingStrategy, seed: int, repeats: int) -> list:
+    if strategy.kind == TOKEN_BY_TOKEN:
+        return plan_token_by_token(seq)
+    return [plan_random(seq, strategy.fraction, rng_seed=(int(seed), r)) for r in range(repeats)]
+
+
+def _score_chunk(ckpt: Checkpoint, seqs, seeds, strategy: MaskingStrategy, repeats: int) -> list[ScoreReport]:
+    """Reports for logs of one length, all of their masked variants in one forward."""
+    repeats = 1 if strategy.kind == TOKEN_BY_TOKEN else max(1, int(repeats))
+    plans = [_plans(seq, strategy, seed, repeats) for seq, seed in zip(seqs, seeds)]
+    pairs = _true_token_probs(ckpt, [p for log_plans in plans for p in log_plans])
+    reports, start = [], 0
+    for seq, log_plans in zip(seqs, plans):
+        n = sum(len(p.masked_indices) for p in log_plans)
+        own, start = pairs[start : start + n], start + n
+        reports.append(ScoreReport(
+            raw_ref=seq.raw_ref,
+            score=recompute_score(own),
+            masked_count=n,
+            token_probs=own,
+            strategy=strategy,
+            repeats=repeats,
+            checkpoint_hash=ckpt.digest(),
+        ))
+    return reports
 
 
 def score_log(
@@ -83,24 +114,24 @@ def score_log(
     """
     if vocab_hash is not None and ckpt.vocab_hash and vocab_hash != ckpt.vocab_hash:
         raise VocabMismatch("sequence vocabulary does not match the checkpoint")
-    if strategy.kind == TOKEN_BY_TOKEN:
-        plans = plan_token_by_token(seq)
-        repeats = 1
-    else:
-        repeats = max(1, int(repeats))
-        plans = [
-            plan_random(seq, strategy.fraction, rng_seed=(int(seed), r)) for r in range(repeats)
-        ]
-    pairs = _true_token_probs(ckpt, plans)
-    return ScoreReport(
-        raw_ref=seq.raw_ref,
-        score=recompute_score(pairs),
-        masked_count=len(pairs),
-        token_probs=pairs,
-        strategy=strategy,
-        repeats=repeats,
-        checkpoint_hash=ckpt.digest(),
-    )
+    return _score_chunk(ckpt, [seq], [seed], strategy, repeats)[0]
+
+
+def _chunks(corpus, strategy: MaskingStrategy, repeats: int) -> list[list[int]]:
+    """Corpus indices in chunks of one content length and at most CHUNK_ROWS token rows.
+
+    Input order is kept within a length. A log's variants are never split: a
+    log whose variants hold more rows than that makes a chunk of its own.
+    """
+    by_length: dict = {}
+    for i, seq in enumerate(corpus):
+        by_length.setdefault(int(seq.length), []).append(i)
+    chunks = []
+    for length, indices in by_length.items():
+        per_log = length if strategy.kind == TOKEN_BY_TOKEN else max(1, int(repeats))
+        step = max(1, CHUNK_ROWS // (per_log * length))
+        chunks += [indices[k : k + step] for k in range(0, len(indices), step)]
+    return chunks
 
 
 def score_corpus(
@@ -111,20 +142,29 @@ def score_corpus(
     repeats: int = 1,
     threads: int = 1,
 ) -> list[ScoreReport]:
-    """Score logs in input order; per-log seeds derive from (seed, index).
+    """Score logs, returned in input order; per-log seeds derive from (seed, index).
 
-    Thread count only distributes the per-log work; any value produces the
-    same reports as a serial run.
+    Each log's report equals `score_log` of that log with its derived seed,
+    to the bit. Threads take whole chunks, so any count gives the same reports.
     """
     corpus = list(corpus)
 
-    def one(i: int) -> ScoreReport:
-        return score_log(ckpt, corpus[i], strategy, seed=derive_seed(seed, _STREAM_SCORE, i), repeats=repeats)
+    def run(chunk: list[int]) -> list[ScoreReport]:
+        seeds = [derive_seed(seed, _STREAM_SCORE, i) for i in chunk]
+        return _score_chunk(ckpt, [corpus[i] for i in chunk], seeds, strategy, repeats)
 
+    chunks = _chunks(corpus, strategy, repeats)
     if threads and threads > 1:
+        ckpt.scoring_params()  # cast here, or each thread may build its own float64 copy
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(len(corpus))))
-    return [one(i) for i in range(len(corpus))]
+            done = list(pool.map(run, chunks))
+    else:
+        done = [run(chunk) for chunk in chunks]
+    reports: list = [None] * len(corpus)
+    for chunk, chunk_reports in zip(chunks, done):
+        for i, report in zip(chunk, chunk_reports):
+            reports[i] = report
+    return reports
 
 
 def heatmap(ckpt: Checkpoint, corpus, labels=None, threads: int = 1) -> HeatmapMatrix:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import EmptyAfterCleaning, EmptyCorpus, MalformedInput, UnknownId
 from .normalize import CleanLog
 
@@ -119,7 +120,7 @@ def decode(ids, vocab: Vocabulary) -> list[str]:
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         f.write(vocab.to_text())
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,11 @@ from masklog.checkpoint import load_container, save_container
 from masklog.cli import main, read_scores, read_table, read_threshold, read_verdicts
 from masklog.errors import NoAnomaliesInTruth
 from masklog.manifest import file_digest, load_manifest, manifest_path_for
+from masklog.corpus import load_labeled, load_lines
+from masklog.masking import MaskingStrategy
 from masklog.normalize import CleanLog
+from masklog.score import _STREAM_SCORE, score_log
+from masklog.train import derive_seed, load_checkpoint
 from masklog.vocab import encode, load_vocab
 
 from conftest import run_cli
@@ -135,6 +140,22 @@ class TestArtifacts:
         assert doc["outputs"][str(small_run["ckpt"])] == file_digest(small_run["ckpt"])
         assert doc["options"]["epochs"] == 4
 
+    def test_manifest_records_memory_and_versions(self, small_run, tmp_path):
+        doc = load_manifest(manifest_path_for(small_run["val_scores"]))
+        runtime = doc["runtime"]
+        assert set(runtime) == {"peak_rss_bytes", "python", "numpy", "blas"}
+        assert runtime["peak_rss_bytes"] > 10 * 2**20  # numpy alone takes more
+        assert runtime["python"] == platform.python_version()
+        assert runtime["numpy"] == np.__version__
+        assert isinstance(runtime["blas"], str) and runtime["blas"]
+        # rerun reads the command, options and inputs only
+        edited = tmp_path / "edited.manifest.json"
+        doc["runtime"] = {"python": "0.0", "peak_rss_bytes": -1}
+        edited.write_text(json.dumps(doc), encoding="utf-8")
+        before = file_digest(small_run["val_scores"])
+        assert run_cli("rerun", "--manifest", edited) == 0
+        assert file_digest(small_run["val_scores"]) == before
+
 
 class TestRerunAndThreads:
     def test_rerun_is_byte_identical(self, small_run):
@@ -142,6 +163,18 @@ class TestRerunAndThreads:
         manifest = manifest_path_for(small_run["val_scores"])
         assert run_cli("rerun", "--manifest", manifest) == 0
         assert file_digest(small_run["val_scores"]) == before
+
+    @pytest.mark.parametrize("part, labeled", [("val", False), ("test", True)])
+    def test_every_score_row_equals_score_log(self, small_run, part, labeled):
+        ckpt = load_checkpoint(small_run["ckpt"])
+        vocab = load_vocab(small_run["vocab"])
+        texts = load_labeled(small_run[part])[0] if labeled else load_lines(small_run[part])
+        _, rows = read_scores(small_run[f"{part}_scores"])
+        assert len(rows) == len(texts)
+        for i, (text, row) in enumerate(zip(texts, rows)):
+            seq = encode(CleanLog(text=text, raw_ref=(small_run[part].name, i)), vocab, ckpt.model_config.max_len)
+            rep = score_log(ckpt, seq, MaskingStrategy(), seed=derive_seed(6, _STREAM_SCORE, i))
+            assert (row["line_no"], row["score"], row["masked_count"]) == (i, rep.score, rep.masked_count)
 
     def test_threads_flag_reproduces_serial_output(self, small_run, tmp_path):
         out = tmp_path / "scores_threaded.tsv"

@@ -524,3 +524,61 @@ class TestLossDecreases:
         assert len(ckpt.history) == 50
         assert ckpt.history[-1] <= 0.8 * ckpt.history[0]
         assert all(math.isfinite(h) for h in ckpt.history)
+
+
+class TestTrimmedTopLayer:
+    """`forward` with masked positions runs the top layer past K/V on the masked rows only;
+    the full per-position forward read at the masked cells is the reference."""
+
+    CFG = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=2, d_ff=24, max_len=8)
+
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.25])
+    @pytest.mark.parametrize("layout", ["same-length", "ragged", "ragged-two-each", "repeated"])
+    def test_matches_full_forward_at_masked_cells(self, tiny_batch, dropout_rate, layout):
+        batch, _, positions = tiny_batch  # lengths 5, 8 and 3; 2, 3 and 1 masked positions
+        if layout == "same-length":
+            rng = np.random.default_rng(3)
+            batch = [make_seq(6, rng=rng) for _ in range(4)]
+            positions = [[0, 5], [1, 2], [3, 4], [5, 0]]
+        elif layout == "ragged-two-each":  # padded keys, and the [B, H, m, L] query grid
+            positions = [[0, 2], [1, 7], [2, 0]]
+        elif layout == "repeated":
+            positions = REPEATED_POSITIONS
+        params = init_params(dataclasses.replace(self.CFG, dropout_rate=dropout_rate), 7)
+        bs, ps = (np.array(a) for a in zip(*[(b, p) for b, pos in enumerate(positions) for p in pos]))
+        for train_mode, seed in ((False, 0), (True, 13)):
+            trimmed = forward(params, batch, train_mode, seed, mask_positions=positions)
+            full = forward(params, batch, train_mode, seed)
+            assert trimmed.logits.shape == (len(bs), self.CFG.vocab_size)
+            assert np.abs(trimmed.logits - full.logits[bs, ps]).max() <= 1e-12
+            assert np.abs(trimmed.probabilities - full.probabilities[bs, ps]).max() <= 1e-12
+
+    def test_trim_leaves_the_training_forward_alone(self, tiny_batch):
+        batch, targets, positions = tiny_batch
+        params = init_params(self.CFG, 7)
+        ids, lengths = _stack_batch(batch, self.CFG)
+        coords = _masked_coords(positions, lengths)
+        plain = _forward_cached(params, ids, lengths, False, 0, coords)
+        trimmed = _forward_cached(params, ids, lengths, False, 0, coords, for_backward=False)
+        assert len(plain["layers"]) == self.CFG.n_layers and trimmed["layers"] == []
+        assert all(len(lc["h2"]) == int(lengths.sum()) and "attn" in lc for lc in plain["layers"])
+        assert np.abs(trimmed["logits"] - plain["logits"]).max() <= 1e-12
+
+
+class TestTwoDimensionalProducts:
+    def test_one_row_is_multiplied_as_two_equal_rows(self):
+        rng = np.random.default_rng(4)
+        x, w, b = rng.normal(size=(1, 128)), rng.normal(size=(128, 128)), rng.normal(size=128)
+        tokens = _TokenRows(np.array([1]), 1)
+        got = tokens.affine(x, w, b)
+        assert got.shape == (1, 128)
+        assert got.tobytes() == ((np.vstack([x, x]) @ w)[:1] + b).tobytes()
+
+    def test_a_one_token_log_scores_the_same_alone_and_in_a_batch(self):
+        params = init_params(ModelConfig(vocab_size=20, d_model=32, n_heads=2, n_layers=2, d_ff=48, max_len=8), 5)
+        rng = np.random.default_rng(6)
+        logs = [make_seq(1, rng=rng) for _ in range(3)]
+        together = forward(params, logs, mask_positions=[[0]] * 3).logits
+        for i, log in enumerate(logs):
+            alone = forward(params, [log], mask_positions=[[0]]).logits
+            assert alone[0].tobytes() == together[i].tobytes(), i

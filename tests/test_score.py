@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from masklog import score as score_mod
 from masklog.masking import TOKEN_BY_TOKEN, MaskingStrategy, plan_random, plan_token_by_token
-from masklog.model import forward
+from masklog.model import ModelConfig, forward, init_params
 from masklog.score import (
     PROB_FLOOR,
     heatmap,
@@ -12,6 +13,9 @@ from masklog.score import (
     score_corpus,
     score_log,
 )
+from masklog.train import Checkpoint, TrainConfig, derive_seed
+
+from conftest import make_seq
 
 TOKEN = MaskingStrategy(kind=TOKEN_BY_TOKEN, fraction=1.0)
 RANDOM15 = MaskingStrategy()
@@ -136,7 +140,7 @@ class TestScoreCorpus:
         assert serial == threaded
 
     def test_batching_granularity_invariance(self, toy_model):
-        # single-log scoring is the unit of work, so any grouping is identical;
+        # a log scores the same in any chunk, so any grouping is identical;
         # compare full-corpus run against one-at-a-time runs
         seqs = toy_model["seqs"][:6]
         together = [r.score for r in score_corpus(toy_model["checkpoint"], seqs, TOKEN)]
@@ -186,3 +190,62 @@ class TestHeatmap:
         hm = heatmap(toy_model["checkpoint"], seqs, labels=labels)
         assert set(hm.summary) == {"normal", "anomalous"}
         assert np.nanmean(hm.values[[i for i, lab in enumerate(labels) if lab == "normal"]]) > 0.0
+
+
+def _mixed_corpus(vocab_size):
+    """Logs of every length 1-24, plus enough of length 5 to fill several chunks."""
+    rng = np.random.default_rng(17)
+    lengths = [n for n in range(1, 25) for _ in range(2)] + [5] * (score_mod.CHUNK_ROWS // 5 + 11)
+    rng.shuffle(lengths)
+    return [make_seq(n, width=32, hi=vocab_size, rng=rng) for n in lengths]
+
+
+def _untrained_checkpoint(cfg, seed):
+    return Checkpoint(params=init_params(cfg, seed), vocab_hash="", train_config=TrainConfig(), final_loss=0.0)
+
+
+class TestBatchedScoring:
+    """`score_corpus` scores logs of one length together; per-log `score_log` is the reference, to the bit."""
+
+    @pytest.mark.parametrize("dims", [
+        dict(d_model=32, n_heads=2, n_layers=1, d_ff=48),  # the toy_model dims
+        dict(),  # the defaults: d_model 128, 4 heads, 2 layers, d_ff 256
+    ], ids=["toy", "default"])
+    @pytest.mark.parametrize("strategy, repeats", [(RANDOM15, 1), (RANDOM15, 3), (TOKEN, 1)],
+                             ids=["random", "random-repeats3", "token"])
+    def test_batched_equals_per_log(self, dims, strategy, repeats):
+        cfg = ModelConfig(vocab_size=130, max_len=32, **dims)  # |V| 130: the head is padded to 136
+        ckpt = _untrained_checkpoint(cfg, 4)
+        corpus = _mixed_corpus(cfg.vocab_size)
+        chunks = score_mod._chunks(corpus, strategy, repeats)
+        assert max(len(c) for c in chunks) > 1
+        assert sum(1 for c in chunks if corpus[c[0]].length == 5) > 1  # a chunk boundary inside one length
+        batched = score_corpus(ckpt, corpus, strategy, seed=8, repeats=repeats)
+        for i, (seq, got) in enumerate(zip(corpus, batched)):
+            want = score_log(ckpt, seq, strategy, seed=derive_seed(8, score_mod._STREAM_SCORE, i),
+                             repeats=repeats)
+            if seq.length <= 3 and strategy is RANDOM15:
+                assert got.masked_count == repeats  # one masked position per plan
+            assert np.float64(got.score).tobytes() == np.float64(want.score).tobytes(), i
+            assert got.token_probs == want.token_probs, i
+            assert (got.masked_count, got.repeats, got.raw_ref) == (want.masked_count, want.repeats, want.raw_ref)
+
+    def test_threads_take_whole_chunks(self):
+        ckpt = _untrained_checkpoint(ModelConfig(vocab_size=130, d_model=32, n_heads=2, d_ff=48, max_len=32), 2)
+        corpus = _mixed_corpus(130)
+        serial = score_corpus(ckpt, corpus, RANDOM15, seed=3)
+        threaded = score_corpus(ckpt, corpus, RANDOM15, seed=3, threads=3)
+        assert [r.token_probs for r in threaded] == [r.token_probs for r in serial]
+
+    def test_scoring_head_is_padded_and_dropped(self):
+        ckpt = _untrained_checkpoint(ModelConfig(vocab_size=130, d_model=32, n_heads=2, d_ff=48, max_len=32), 2)
+        padded = ckpt.scoring_params()
+        assert padded["out.w"].shape == (32, 136) and padded["out.b"].shape == (136,)
+        assert not padded["out.w"][:, 130:].any() and not padded["out.b"][130:].any()
+        assert ckpt.scoring_params() is padded
+        seqs = _mixed_corpus(130)[:6]
+        positions = [[0]] * len(seqs)
+        out = forward(padded, seqs, mask_positions=positions)
+        ref = forward(ckpt.float64_params(), seqs, mask_positions=positions)
+        assert out.logits.shape == ref.logits.shape == (6, 130)
+        np.testing.assert_allclose(out.probabilities, ref.probabilities, rtol=0, atol=1e-12)

@@ -6,17 +6,21 @@ import pytest
 from masklog.checkpoint import load_container, save_container
 from masklog.errors import DivergenceDetected, EmptyCorpus, VocabMismatch
 from masklog.masking import plan_token_by_token
-from masklog.model import ModelConfig, forward, init_params, params_digest
+from masklog.model import ModelConfig, forward, init_params, loss_and_gradients, params_digest
 from masklog.train import (
+    _STREAM_EVAL_MASK,
     Checkpoint,
     _AdamW,
     TrainConfig,
+    _batch_step_inputs,
     evaluate_loss,
     load_checkpoint,
     save_checkpoint,
     train,
 )
 from masklog.vocab import PAD_ID, TokenSequence
+
+from conftest import make_seq
 
 
 def pattern_seqs(n_copies=8, width=8):
@@ -169,6 +173,22 @@ class TestEvaluateLoss:
         a = evaluate_loss(ckpt, seqs, seed=5)
         b = evaluate_loss(ckpt, seqs, seed=5)
         assert a == b
+
+    def test_forward_only_loss_matches_the_training_loss(self):
+        rng = np.random.default_rng(2)
+        seqs = pattern_seqs(n_copies=3) + [make_seq(n, rng=rng) for n in (2, 7, 1, 8, 3, 6, 4)]
+        cfg = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=2, d_ff=24, max_len=8)
+        ckpt = train(seqs, cfg, TrainConfig(epochs=2, batch_size=5, seed=3))
+        nll, masked = 0.0, 0
+        for start in range(0, len(seqs), 5):
+            batch, positions, targets = _batch_step_inputs(
+                seqs, range(start, min(start + 5, len(seqs))), 0.15, (4, _STREAM_EVAL_MASK)
+            )
+            loss, _ = loss_and_gradients(ckpt.params, batch, targets, positions)
+            nll += loss * sum(len(p) for p in positions)
+            masked += sum(len(p) for p in positions)
+        expected = nll / masked
+        assert abs(evaluate_loss(ckpt, seqs, seed=4) - expected) <= 1e-12 * expected
 
     def test_vocab_mismatch(self):
         seqs = pattern_seqs(n_copies=2)
