@@ -13,9 +13,10 @@ The loss and the anomaly score read the head's distribution only at masked
 positions. When a caller passes those positions, the encoder output is
 gathered to the masked (row, position) pairs before the final layer norm, so
 the final LN, the |V|-wide head and the softmax run on n_masked rows only.
-`forward`, which no backward follows, goes further: the top layer computes K
-and V for every row, and Q, the attention core, the output projection, LN2 and
-the FFN only for the masked rows. Without masked positions, full
+`forward`, which no backward follows, goes further when every sequence has the
+same number of masked positions (every scoring chunk): the top layer computes
+K and V for every row, and Q, the attention core, the output projection, LN2
+and the FFN only for the masked rows. Without masked positions, full
 per-position distributions are formed.
 
 Below the head, a batch is unpadded (`_TokenRows`): its content tokens are
@@ -31,10 +32,11 @@ scoring and the heatmap run (they batch logs of one length), bypasses the
 gather and the scatter: its rows are the [B, L] grid itself.
 
 Every projection, the head included, is one 2-D `rows @ W` product of at
-least two rows (`_TokenRows.affine`). With OpenBLAS at the model's widths, a
-row's bits in such a product do not depend on how many rows it has, so a log
-scores the same alone as in a batch of logs; see README for the widths this
-was checked at.
+least two rows (`_TokenRows.affine`). Where a row's bits in such a product do
+not depend on how many rows it has, a log scores the same alone as in a batch
+of logs. OpenBLAS 0.3.31 on a SkylakeX core meets this when the output width
+is a multiple of 8 and the inner width is at most 384 (the scoring copy pads
+the head to such a width); d_model and d_ff are not padded.
 """
 
 from __future__ import annotations
@@ -323,26 +325,20 @@ class _TokenRows:
         return (np.cumsum(self.lengths) - self.lengths)[bs] + ps
 
 
-def _masked_attention(q, k, v, bs, attn_bias, scale):
-    """Attention of masked query rows q [n_masked, d] over every key of their own sequence.
+def _masked_attention(q, k, v, attn_bias, scale):
+    """Attention of masked query rows q [B * m, d] over every key of their own sequence.
 
-    `bs` holds each query's sequence, sequence-major as `_masked_coords` builds
-    it; k and v are [B, H, L, d / H]. When every sequence has the same number
-    m of queries (every scoring batch), they run as [B, H, m, L] scores
-    against k and v in place; otherwise each query runs alone against a copy
-    of its sequence's keys.
+    Each of the B sequences has m queries, sequence-major as `_masked_coords`
+    builds them, so they run as [B, H, m, L] scores against k and v
+    [B, H, L, d / H] in place.
     """
     n_batch, n_heads = k.shape[:2]
-    per_seq = len(bs) // n_batch
-    if not np.array_equal(bs, np.repeat(np.arange(n_batch), per_seq)):
-        k, v, per_seq = k[bs], v[bs], 1
-        attn_bias = None if attn_bias is None else attn_bias[bs]
-    q = q.reshape(-1, per_seq, n_heads, q.shape[1] // n_heads).transpose(0, 2, 1, 3)
+    q = q.reshape(n_batch, -1, n_heads, q.shape[1] // n_heads).transpose(0, 2, 1, 3)
     scores = q @ k.transpose(0, 1, 3, 2) * scale
     if attn_bias is not None:
         scores += attn_bias
     ctx = _softmax(scores) @ v
-    return ctx.transpose(0, 2, 1, 3).reshape(len(bs), -1)
+    return ctx.transpose(0, 2, 1, 3).reshape(n_batch * q.shape[2], -1)
 
 
 def _forward_cached(
@@ -356,8 +352,9 @@ def _forward_cached(
     attention bias and the dropout masks are built in it too, because one
     float64 operand would promote the whole pass back to float64.
 
-    Without `for_backward`, no layer's activations are kept, and with
-    `coords` the top layer runs on the masked rows alone past its K/V
+    Without `for_backward`, no layer's activations are kept, and when
+    `coords` give every sequence the same number of masked positions (every
+    scoring chunk) the top layer runs on the masked rows alone past its K/V
     projections.
     An `out.w` wider than the vocabulary (zero columns padding the scoring
     copy) gives logits whose extra columns are dropped.
@@ -369,6 +366,11 @@ def _forward_cached(
     scale = 1.0 / math.sqrt(cfg.d_model // n_heads)
     tokens = _TokenRows(lengths, padded)
     rows = None  # the masked pairs' row numbers, once the top layer runs on those rows alone
+    trim = (
+        not for_backward
+        and coords is not None
+        and np.array_equal(coords[0], np.repeat(np.arange(n_batch), len(coords[0]) // n_batch))
+    )
 
     drop = cfg.dropout_rate if train_mode else 0.0
     rng = np.random.default_rng((int(seed), _DROPOUT_STREAM)) if drop > 0.0 else None
@@ -407,11 +409,11 @@ def _forward_cached(
             tokens.to_heads(tokens.affine(h, w[pre + "attn.w" + c], w[pre + "attn.b" + c]), n_heads)
             for c in "kv"
         )
-        if not for_backward and coords is not None and i == cfg.n_layers - 1:
+        if trim and i == cfg.n_layers - 1:
             rows = tokens.index(coords)
             x = x[rows]
             q = tokens.affine(h[rows], w[pre + "attn.wq"], w[pre + "attn.bq"])
-            ctx = _masked_attention(q, k, v, coords[0], attn_bias, scale)
+            ctx = _masked_attention(q, k, v, attn_bias, scale)
         else:
             q = tokens.to_heads(tokens.affine(h, w[pre + "attn.wq"], w[pre + "attn.bq"]), n_heads)
             scores = q @ k.transpose(0, 1, 3, 2) * scale
@@ -464,9 +466,10 @@ def forward(
 
     Without mask_positions the output holds a distribution for every
     position, [batch, padded_len, vocab]. With mask_positions (one list of
-    positions per sequence) the top layer past its K/V projections, the final
-    LN, the head and the softmax run only on those (row, position) pairs, and
-    the output is [n_masked, vocab] in row-major order of the pairs as given.
+    positions per sequence) the final LN, the head and the softmax run only on
+    those (row, position) pairs, and so does the top layer past its K/V
+    projections when every list has the same length. The output is
+    [n_masked, vocab] in row-major order of the pairs as given.
 
     Padding positions are excluded from attention and never computed, so a
     sequence's outputs do not depend on what the padding slots hold, nor, up to
@@ -529,8 +532,8 @@ def mlm_loss(out: ForwardOutput, targets, mask_positions) -> float:
 def masked_loss(params: Parameters, batch: list[TokenSequence], targets, mask_positions) -> float:
     """Mean negative log-probability of the true tokens at masked positions, forward only.
 
-    Runs `forward`'s pass (dropout off, top layer trimmed to the masked
-    rows), so it equals `loss_and_gradients`' loss up to rounding.
+    Runs `forward`'s pass with dropout off and keeps no activations, so it
+    equals `loss_and_gradients`' loss up to rounding.
     """
     ids, lengths = _stack_batch(batch, params.config)
     coords = _masked_coords(mask_positions, lengths)

@@ -4,9 +4,16 @@ A log's score is the negative mean natural log of the probabilities the model
 assigns to the true tokens at masked positions. `score_corpus` groups logs by
 content length and scores each group in chunks of whole logs, one `forward`
 per chunk of at most CHUNK_ROWS token rows, so no chunk holds padding.
-`score_log` is the same code with a chunk of one log. A log scores to the
-same bits alone or in any chunk (see `model` for why), so a report does not
-depend on the corpus around it or on the thread count.
+`score_log` is the same code with a chunk of one log. Threads take whole
+chunks, so the thread count never changes a report.
+
+A log scores to the same bits alone as in a chunk only where the BLAS gives
+each row of a 2-D product the same bits whatever the product's row count
+(see `model`). OpenBLAS 0.3.31 on a SkylakeX core does for output widths
+that are multiples of 8 and inner widths up to 384, so d_model and d_ff must
+both be such widths (the defaults, 128 and 256, are). Elsewhere a log's
+report can differ from `score_log` of it in the last bits, depending on which
+other logs share its chunk.
 """
 
 from __future__ import annotations
@@ -145,7 +152,9 @@ def score_corpus(
     """Score logs, returned in input order; per-log seeds derive from (seed, index).
 
     Each log's report equals `score_log` of that log with its derived seed,
-    to the bit. Threads take whole chunks, so any count gives the same reports.
+    to the bit where the BLAS meets the condition in the module docstring;
+    elsewhere it may differ in the last bits. Threads take whole chunks, so
+    any count gives the same reports.
     """
     corpus = list(corpus)
 

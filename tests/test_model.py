@@ -553,6 +553,16 @@ class TestTrimmedTopLayer:
             assert np.abs(trimmed.logits - full.logits[bs, ps]).max() <= 1e-12
             assert np.abs(trimmed.probabilities - full.probabilities[bs, ps]).max() <= 1e-12
 
+    @pytest.mark.parametrize("positions, trimmed", [
+        ([[0, 2], [1, 7], [2, 0]], True),  # two each, sequence-major
+        ([[0, 2], [1, 3, 7], [2]], False),  # 2, 3 and 1: the full top layer runs
+    ])
+    def test_trims_only_when_every_sequence_has_the_same_count(self, tiny_batch, monkeypatch, positions, trimmed):
+        calls, real = [], model._masked_attention
+        monkeypatch.setattr(model, "_masked_attention", lambda *a: calls.append(a) or real(*a))
+        forward(init_params(self.CFG, 7), tiny_batch[0], mask_positions=positions)
+        assert len(calls) == int(trimmed)
+
     def test_trim_leaves_the_training_forward_alone(self, tiny_batch):
         batch, targets, positions = tiny_batch
         params = init_params(self.CFG, 7)

@@ -205,7 +205,13 @@ def _untrained_checkpoint(cfg, seed):
 
 
 class TestBatchedScoring:
-    """`score_corpus` scores logs of one length together; per-log `score_log` is the reference, to the bit."""
+    """`score_corpus` scores logs of one length together; per-log `score_log` is the reference, to the bit.
+
+    Bit identity rests on the BLAS giving a row of a 2-D product the same bits
+    whatever the row count. Checked on OpenBLAS 0.3.31 (DYNAMIC_ARCH, SkylakeX
+    core, numpy 2.4.6), where it holds for output widths that are multiples
+    of 8 and inner widths up to 384: both dims below meet it.
+    """
 
     @pytest.mark.parametrize("dims", [
         dict(d_model=32, n_heads=2, n_layers=1, d_ff=48),  # the toy_model dims
