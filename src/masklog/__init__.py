@@ -32,7 +32,6 @@ from .model import (
 )
 from .normalize import (
     CleanLog,
-    NormalizationConfig,
     RawLog,
     normalize,
     replace_placeholders,
@@ -40,5 +39,5 @@ from .normalize import (
     strip_timestamps,
 )
 from .score import HeatmapMatrix, ScoreReport, heatmap, score_corpus, score_log
-from .train import Checkpoint, TrainConfig, evaluate_loss, load_checkpoint, save_checkpoint, train
+from .train import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, train
 from .vocab import TokenSequence, Vocabulary, build_vocab, decode, encode

@@ -8,6 +8,8 @@ sorted name order so identical contents produce identical bytes.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -38,23 +40,31 @@ def save_container(path, header: dict, tensors: dict) -> None:
 
 def load_container(path) -> tuple[dict, dict]:
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            # checked before reading, so a record cannot claim more memory than the file holds
+            if n > size - f.tell():
+                raise MalformedInput(f"{path}: {what} runs past the end of the file")
+            return f.read(n)
+
+        def unpack(fmt: str, what: str) -> tuple:
+            return struct.unpack(fmt, read(struct.calcsize(fmt), what))
+
         if f.read(len(_MAGIC)) != _MAGIC:
             raise MalformedInput(f"{path} is not a checkpoint container")
-        (header_len,) = struct.unpack("<I", f.read(4))
+        (header_len,) = unpack("<I", "the header length")
         header = {}
-        for line in f.read(header_len).decode("utf-8").splitlines():
+        for line in read(header_len, "the header").decode("utf-8").splitlines():
             key, _, value = line.partition("=")
             header[key] = value
-        (n_tensors,) = struct.unpack("<I", f.read(4))
+        (n_tensors,) = unpack("<I", "the tensor count")
         tensors = {}
         for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<B", f.read(1))
-            dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
-            count = int(np.prod(dims)) if rank else 1
-            payload = f.read(4 * count)
-            if len(payload) != 4 * count:
-                raise MalformedInput(f"truncated tensor payload for {name}")
+            (name_len,) = unpack("<H", "a tensor name length")
+            name = read(name_len, "a tensor name").decode("utf-8")
+            (rank,) = unpack("<B", f"the rank of {name}")
+            dims = unpack(f"<{rank}I", f"the dims of {name}")
+            payload = read(4 * math.prod(dims), f"the payload of {name}")  # Python ints: no overflow
             tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     return header, tensors

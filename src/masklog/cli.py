@@ -78,6 +78,9 @@ def _load_clean_seqs(path, vocab, max_len, labeled=False):
         texts, labels = load_labeled(path)
     else:
         texts, labels = load_lines(path), None
+        tabbed = next((i for i, t in enumerate(texts) if "\t" in t), None)
+        if tabbed is not None:  # cleaned text never holds one: this is a labeled file
+            raise MalformedInput(f"{path} line {tabbed} holds a tab, as a labeled file does; pass --labeled")
     seqs = [
         encode(CleanLog(text=t, raw_ref=(name, i)), vocab, max_len) for i, t in enumerate(texts)
     ]
@@ -330,7 +333,7 @@ def _checkpoint_and_vocab(opts):
 def run_score(opts):
     _require(opts, "in_", "out")
     ckpt, vocab = _checkpoint_and_vocab(opts)
-    strategy = MaskingStrategy.parse(opts["mask_strategy"], opts["mask_fraction"])
+    strategy = MaskingStrategy.parse(opts["mask_strategy"])
     _, seqs, _ = _load_clean_seqs(
         opts["in_"], vocab, ckpt.model_config.max_len, labeled=opts.get("labeled", False)
     )
@@ -353,13 +356,17 @@ def run_score(opts):
 def run_calibrate(opts):
     _require(opts, "scores", "out")
     meta, rows = read_scores(opts["scores"])
+    try:
+        repeats = int(meta.get("repeats", 1))
+    except ValueError:
+        raise MalformedInput(f"{opts['scores']}: header repeats={meta['repeats']!r} is not an int") from None
     t = select_threshold(
         [r["score"] for r in rows],
         percentile=opts["percentile"],
         checkpoint_hash=meta.get("checkpoint", ""),
         vocab_hash=meta.get("vocab", ""),
         strategy=meta.get("strategy", ""),
-        repeats=int(meta.get("repeats", 1)),
+        repeats=repeats,
     )
     write_threshold(opts["out"], t)
     return [opts["scores"]], [opts["out"]], []
@@ -441,7 +448,6 @@ def run_ablate_masking(opts):
         percentiles,
         seed=opts["seed"],
         repeats=opts["repeats"],
-        threads=opts["threads"],
     )
     write_grid(opts["out"], cells)
     return inputs, [opts["out"]], []
@@ -455,9 +461,8 @@ def run_ablate_finetune(opts):
         test_seqs,
         test_labels,
         percentile=opts["percentile"],
-        strategy=MaskingStrategy.parse(opts["mask_strategy"], opts["mask_fraction"]),
+        strategy=MaskingStrategy.parse(opts["mask_strategy"]),
         seed=opts["seed"],
-        threads=opts["threads"],
     )
     doc = {
         "trained": dataclasses.asdict(result.trained),
@@ -476,7 +481,7 @@ def run_heatmap(opts):
     _, seqs, labels = _load_clean_seqs(
         opts["in_"], vocab, ckpt.model_config.max_len, labeled=opts.get("labeled", False)
     )
-    hm = compute_heatmap(ckpt, seqs, labels=labels, threads=opts["threads"])
+    hm = compute_heatmap(ckpt, seqs, labels=labels)
     write_heatmap(opts["out"], hm)
     return [opts["in_"], opts["vocab"], opts["checkpoint"]], [opts["out"], opts["out"] + ".rows.json"], []
 
@@ -549,8 +554,7 @@ _register(
 _register(
     "score",
     run_score,
-    {"mask_strategy": "random", "mask_fraction": 0.15, "repeats": 1, "seed": 0, "threads": 1,
-     "labeled": False},
+    {"mask_strategy": "random0.15", "repeats": 1, "seed": 0, "threads": 1, "labeled": False},
     ("in_", "vocab", "checkpoint", "out"),
     "compute per-log anomaly scores",
 )
@@ -583,7 +587,6 @@ _register(
         "percentiles": "70,75,80,85,90,95,100",
         "seed": 0,
         "repeats": 1,
-        "threads": 1,
     },
     ("checkpoint", "vocab", "val", "test", "out"),
     "metrics grid over masking strategies x percentile thresholds",
@@ -591,14 +594,14 @@ _register(
 _register(
     "ablate-finetune",
     run_ablate_finetune,
-    {"mask_strategy": "random", "mask_fraction": 0.15, "percentile": 90.0, "seed": 0, "threads": 1},
+    {"mask_strategy": "random0.15", "percentile": 90.0, "seed": 0},
     ("checkpoint", "vocab", "val", "test", "out"),
     "a checkpoint vs. its own initial weights, same detection pipeline and seeds",
 )
 _register(
     "heatmap",
     run_heatmap,
-    {"threads": 1, "labeled": False},
+    {"labeled": False},
     ("in_", "vocab", "checkpoint", "out"),
     "token-by-token probability matrix for a corpus",
 )
@@ -634,13 +637,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The types an option's value may have, by the type of its default (None: a path option).
+_OPTION_TYPES = {type(None): (str, type(None)), bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
 def _options(name: str, given: dict) -> dict:
-    """The command's defaults updated by `given`; a key the command does not define is refused."""
+    """The command's defaults updated by `given`; an unknown key or a value of another type is refused."""
     cmd = _COMMANDS[name]
     opts = {**dict.fromkeys(cmd["paths"]), **cmd["defaults"]}
-    for key in given:
+    for key, value in given.items():
         if key not in opts:
             raise ConfigInvalid(f"unknown config key {key!r} for {name}")
+        if type(value) not in _OPTION_TYPES[type(opts[key])]:  # exact types: a bool is no int here
+            raise ConfigInvalid(f"config key {key!r} for {name} must be like {opts[key]!r}, not {value!r}")
     opts.update(given)
     return opts
 

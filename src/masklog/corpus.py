@@ -16,7 +16,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import LengthMismatch, MalformedInput, TooFewLogs
-from .normalize import DEFAULT_CONFIG, CleanLog, RawLog, normalize
+from .normalize import CleanLog, RawLog, normalize
 
 LABEL_NORMAL = "normal"
 LABEL_ANOMALOUS = "anomalous"
@@ -80,15 +80,12 @@ class Split:
     train: list
     validation: list
     test: list  # (CleanLog, label)
-    seed: int
 
 
 @dataclass(eq=False)
 class SyntheticCorpus:
     lines: list  # raw log lines, timestamps and all
     labels: list
-    seed: int
-    n_templates: int
 
 
 def dedupe(corpus) -> tuple[list, dict]:
@@ -122,7 +119,7 @@ def split_corpus(unique_normals, anomalies, seed: int) -> Split:
     validation = shuffled[n_train : n_train + n_val]
     test = [(log, LABEL_NORMAL) for log in shuffled[n_train + n_val :]]
     test += [(log, LABEL_ANOMALOUS) for log in anomalies]
-    return Split(train=train, validation=validation, test=test, seed=seed)
+    return Split(train=train, validation=validation, test=test)
 
 
 def _make_timestamp(rng) -> str:
@@ -195,7 +192,7 @@ def _novel_words(rng, n: int, taken: set) -> list[str]:
 
 
 def _clean_text(line: str) -> str:
-    return normalize(RawLog(text=line), DEFAULT_CONFIG).text
+    return normalize(RawLog(text=line)).text
 
 
 def _raw_line(tokens, rng) -> str:
@@ -270,12 +267,7 @@ def synthesize(n_templates: int, n_normal: int, n_anomalies: int, seed: int) -> 
     lines = normal_lines + anomaly_lines
     labels = [LABEL_NORMAL] * len(normal_lines) + [LABEL_ANOMALOUS] * len(anomaly_lines)
     order = rng.permutation(len(lines))
-    return SyntheticCorpus(
-        lines=[lines[i] for i in order],
-        labels=[labels[i] for i in order],
-        seed=seed,
-        n_templates=n_templates,
-    )
+    return SyntheticCorpus(lines=[lines[i] for i in order], labels=[labels[i] for i in order])
 
 
 def load_lines(path) -> list[str]:

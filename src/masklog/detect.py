@@ -124,10 +124,10 @@ def percentile_grid(
     return cells
 
 
-def _score_partitions(ckpt, val_seqs, test_seqs, strategy, seed, repeats, threads):
+def _score_partitions(ckpt, val_seqs, test_seqs, strategy, seed, repeats):
     """Calibration scores of the normal val logs, and the test reports, under one strategy."""
-    val = score_corpus(ckpt, val_seqs, strategy, seed=seed, repeats=repeats, threads=threads)
-    test = score_corpus(ckpt, test_seqs, strategy, seed=seed, repeats=repeats, threads=threads)
+    val = score_corpus(ckpt, val_seqs, strategy, seed=seed, repeats=repeats)
+    test = score_corpus(ckpt, test_seqs, strategy, seed=seed, repeats=repeats)
     return [r.score for r in val], test
 
 
@@ -140,7 +140,6 @@ def ablate_masking(
     percentiles,
     seed: int = 0,
     repeats: int = 1,
-    threads: int = 1,
 ) -> list[AblationCell]:
     """Full strategies x percentiles grid; every cell recalibrates its own threshold.
 
@@ -152,9 +151,7 @@ def ablate_masking(
     for strategy in strategies:
         if isinstance(strategy, str):
             strategy = MaskingStrategy.parse(strategy)
-        val_scores, test_reports = _score_partitions(
-            ckpt, val_seqs, test_seqs, strategy, seed, repeats, threads
-        )
+        val_scores, test_reports = _score_partitions(ckpt, val_seqs, test_seqs, strategy, seed, repeats)
         cells += percentile_grid(
             val_scores, test_reports, test_labels, percentiles, ckpt.digest(), strategy.describe()
         )
@@ -169,8 +166,8 @@ class FinetuneAblation:
     untrained_mean_normal_score: float
 
 
-def _run_detection(ckpt, val_seqs, test_seqs, truth, strategy, percentile, seed, threads):
-    val_scores, reports = _score_partitions(ckpt, val_seqs, test_seqs, strategy, seed, 1, threads)
+def _run_detection(ckpt, val_seqs, test_seqs, truth, strategy, percentile, seed):
+    val_scores, reports = _score_partitions(ckpt, val_seqs, test_seqs, strategy, seed, 1)
     (cell,) = percentile_grid(val_scores, reports, truth, [percentile], ckpt.digest(), strategy.describe())
     return cell.metrics, sum(val_scores) / len(val_scores)
 
@@ -183,7 +180,6 @@ def ablate_finetune(
     percentile: float = 90.0,
     strategy: MaskingStrategy | None = None,
     seed: int = 0,
-    threads: int = 1,
 ) -> FinetuneAblation:
     """Same detection pipeline with the checkpoint's weights vs. the initial weights it trained from."""
     strategy = strategy or MaskingStrategy()
@@ -194,12 +190,8 @@ def ablate_finetune(
         final_loss=float("nan"),
         history=[],
     )
-    m_unt, mean_unt = _run_detection(
-        untrained, val_seqs, test_seqs, test_labels, strategy, percentile, seed, threads
-    )
-    m_tr, mean_tr = _run_detection(
-        ckpt, val_seqs, test_seqs, test_labels, strategy, percentile, seed, threads
-    )
+    m_unt, mean_unt = _run_detection(untrained, val_seqs, test_seqs, test_labels, strategy, percentile, seed)
+    m_tr, mean_tr = _run_detection(ckpt, val_seqs, test_seqs, test_labels, strategy, percentile, seed)
     return FinetuneAblation(
         trained=m_tr,
         untrained=m_unt,

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import DigestMismatch, MissingInput
+from .errors import DigestMismatch, MalformedInput, MissingInput
 
 TOOL_NAME = "masklog"
 
@@ -95,10 +95,15 @@ def write_manifest(
 
 
 def load_manifest(path) -> dict:
+    """A manifest: a JSON object with a string `command`, an object `options` and an object `inputs`."""
     if not os.path.exists(path):
         raise MissingInput(f"manifest {path} does not exist")
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        doc = json.load(f)
+    shape = {"command": str, "options": dict, "inputs": dict}
+    if not isinstance(doc, dict) or any(not isinstance(doc.get(k), t) for k, t in shape.items()):
+        raise MalformedInput(f"{path}: a manifest needs a string command, object options and object inputs")
+    return doc
 
 
 def verify_inputs(manifest: dict) -> None:

@@ -34,14 +34,14 @@ class MaskingStrategy:
         return f"random{self.fraction:g}"
 
     @classmethod
-    def parse(cls, text: str, fraction: float = 0.15) -> "MaskingStrategy":
-        """`token`, `random<fraction>` as `describe` writes them, or bare `random` at `fraction`."""
+    def parse(cls, text: str) -> "MaskingStrategy":
+        """`token` or `random<fraction>` as `describe` writes them; bare `random` is the default fraction."""
         text = text.strip()
         if text == "token":
             return cls(kind=TOKEN_BY_TOKEN, fraction=1.0)
         if text.startswith("random"):
             frac = text[len("random"):]
-            return cls(kind=RANDOM_FRACTION, fraction=float(frac) if frac else fraction)
+            return cls(kind=RANDOM_FRACTION, fraction=float(frac)) if frac else cls()
         raise ValueError(f"cannot parse masking strategy {text!r}")
 
 

@@ -97,9 +97,6 @@ class Parameters:
     def items(self):
         return self.tensors.items()
 
-    def names(self):
-        return list(self.tensors.keys())
-
     def copy(self) -> "Parameters":
         return Parameters(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
@@ -313,12 +310,6 @@ class _TokenRows:
         rows = self.gather(a.transpose(0, 2, 1, 3))
         return rows.reshape(len(rows), -1)
 
-    def pick(self, rows, coords):
-        """The rows of the (sequence, position) pairs in `coords`."""
-        if self.valid is None:
-            return self.scatter(rows)[coords]
-        return rows[self.index(coords)]
-
     def index(self, coords):
         """Row number of each (sequence, position) pair in `coords`."""
         bs, ps = coords
@@ -444,7 +435,7 @@ def _forward_cached(
     if coords is None:
         x = tokens.scatter(x)
     elif rows is None:
-        x = tokens.pick(x, coords)
+        x = x[tokens.index(coords)]
     hf, cache["final_ln"] = _ln_forward(x, w["final_ln.gain"], w["final_ln.offset"])
     cache["hf"] = hf
     logits = tokens.affine(hf.reshape(-1, hf.shape[-1]), w["out.w"], w["out.b"])
@@ -527,18 +518,6 @@ def mlm_loss(out: ForwardOutput, targets, mask_positions) -> float:
     bs, ps = _masked_coords(mask_positions, np.full(n_batch, padded, dtype=np.int64))
     loss, _ = _masked_loss(out.logits[bs, ps], _target_ids(targets, (n_batch, padded), bs, ps))
     return loss
-
-
-def masked_loss(params: Parameters, batch: list[TokenSequence], targets, mask_positions) -> float:
-    """Mean negative log-probability of the true tokens at masked positions, forward only.
-
-    Runs `forward`'s pass with dropout off and keeps no activations, so it
-    equals `loss_and_gradients`' loss up to rounding.
-    """
-    ids, lengths = _stack_batch(batch, params.config)
-    coords = _masked_coords(mask_positions, lengths)
-    cache = _forward_cached(params, ids, lengths, False, 0, coords, for_backward=False)
-    return _masked_loss(cache["logits"], _target_ids(targets, ids.shape, *coords))[0]
 
 
 def loss_and_gradients(

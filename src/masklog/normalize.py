@@ -1,9 +1,9 @@
 """Raw log cleaning: timestamp removal, compound splitting, placeholder substitution.
 
-The cleaning is parsing-free: no templates are mined apart from a fixed,
-user-extensible inventory of regular expressions. Output text is lowercase,
-whitespace-collapsed, and contains no digits (numeric content is abstracted
-into placeholder words).
+The cleaning is parsing-free: no templates are mined, only a fixed inventory
+of regular expressions and placeholder words is applied. Output text is
+lowercase, whitespace-collapsed, and contains no digits (numeric content is
+abstracted into placeholder words).
 """
 
 from __future__ import annotations
@@ -13,21 +13,25 @@ from dataclasses import dataclass, field
 
 from .errors import EmptyAfterCleaning
 
-# Ordered (name, pattern) pairs; earlier patterns win on overlap. Digits-heavy
-# forms (dotted datetime) must precede the bare-date form that they contain.
-DEFAULT_TIMESTAMP_PATTERNS: tuple[tuple[str, str], ...] = (
-    ("dotted_datetime", r"\d{4}-\d{2}-\d{2}-\d{2}\.\d{2}\.\d{2}\.\d+"),
-    ("iso_datetime", r"\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}:\d{2}(?:[.,]\d+)?(?:Z|[+-]\d{2}:?\d{2})?"),
-    (
-        "syslog",
+# Applied in order; earlier patterns win on overlap. Digits-heavy forms
+# (dotted datetime) must precede the bare-date form that they contain.
+_TIMESTAMP_RES = (
+    re.compile(r"\d{4}-\d{2}-\d{2}-\d{2}\.\d{2}\.\d{2}\.\d+"),  # dotted datetime
+    re.compile(r"\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}:\d{2}(?:[.,]\d+)?(?:Z|[+-]\d{2}:?\d{2})?"),  # ISO datetime
+    re.compile(  # syslog
         r"(?:(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun)\s+)?"
         r"(?:Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec)\s+\d{1,2}\s+"
-        r"\d{2}:\d{2}:\d{2}(?:\s+\d{4})?",
+        r"\d{2}:\d{2}:\d{2}(?:\s+\d{4})?"
     ),
-    ("epoch_seconds", r"(?<![\d.])[12]\d{9}(?:\.\d+)?(?![\d.])"),
-    ("bare_date", r"(?<![\d.-])\d{4}[-/]\d{2}[-/]\d{2}(?![\d.-])"),
-    ("time_of_day", r"(?<![\d:.])\d{1,2}:\d{2}:\d{2}(?:[.,]\d+)?(?![\d:])"),
+    re.compile(r"(?<![\d.])[12]\d{9}(?:\.\d+)?(?![\d.])"),  # epoch seconds
+    re.compile(r"(?<![\d.-])\d{4}[-/]\d{2}[-/]\d{2}(?![\d.-])"),  # bare date
+    re.compile(r"(?<![\d:.])\d{1,2}:\d{2}:\d{2}(?:[.,]\d+)?(?![\d:])"),  # time of day
 )
+
+# Placeholder words: lowercase single tokens, pairwise distinct.
+PATH_WORD = "filepath"
+NUMBER_WORD = "float"
+ADDRESS_WORD = "address"
 
 # Absolute unix or windows paths, optionally ~-prefixed. The lookbehind keeps
 # slashes that terminate a word (URLs, fractions) from being mistaken for a
@@ -69,26 +73,6 @@ class CleanLog:
     raw_ref: tuple[str, int] = ("", 0)
 
 
-@dataclass(frozen=True)
-class NormalizationConfig:
-    timestamp_patterns: tuple[tuple[str, str], ...] = DEFAULT_TIMESTAMP_PATTERNS
-    placeholder_words: dict = field(
-        default_factory=lambda: {"path": "filepath", "number": "float", "address": "address"}
-    )
-    split_compound: bool = True
-
-    def __post_init__(self):
-        words = list(self.placeholder_words.values())
-        for w in words:
-            if w != w.lower() or len(w.split()) != 1:
-                raise ValueError(f"placeholder word {w!r} must be a lowercase single token")
-        if len(set(words)) != len(words):
-            raise ValueError("placeholder words must be pairwise distinct")
-
-
-DEFAULT_CONFIG = NormalizationConfig()
-
-
 @dataclass
 class CleanReport:
     """Sidecar statistics for a cleaning run over many lines."""
@@ -111,21 +95,21 @@ class CleanReport:
         }
 
 
-def _strip_timestamps(text: str, cfg: NormalizationConfig) -> tuple[str, int]:
+def _strip_timestamps(text: str) -> tuple[str, int]:
     n_total = 0
-    for _name, pattern in cfg.timestamp_patterns:
-        text, n = re.subn(pattern, " ", text)
+    for rx in _TIMESTAMP_RES:
+        text, n = rx.subn(" ", text)
         n_total += n
     return _WS_RE.sub(" ", text).strip(), n_total
 
 
-def strip_timestamps(text: str, cfg: NormalizationConfig = DEFAULT_CONFIG) -> str:
-    """Remove every substring matching a registered timestamp pattern.
+def strip_timestamps(text: str) -> str:
+    """Remove every substring matching one of the timestamp patterns.
 
     Surrounding whitespace is collapsed to a single space; text without
     timestamps passes through unchanged (modulo whitespace collapsing).
     """
-    return _strip_timestamps(text, cfg)[0]
+    return _strip_timestamps(text)[0]
 
 
 def split_compound(text: str) -> str:
@@ -140,43 +124,40 @@ def split_compound(text: str) -> str:
     return _CASE_FLIP_RE.sub(r"\1 \2", text)
 
 
-def _replace_placeholders(text: str, cfg: NormalizationConfig) -> tuple[str, int, int, int]:
-    words = cfg.placeholder_words
-    text, n_paths = _PATH_RE.subn(words["path"], text)
+def _replace_placeholders(text: str) -> tuple[str, int, int, int]:
+    text, n_paths = _PATH_RE.subn(PATH_WORD, text)
     n_addr = 0
     for rx in _ADDRESS_RES:
-        text, n = rx.subn(words["address"], text)
+        text, n = rx.subn(ADDRESS_WORD, text)
         n_addr += n
-    text, n_num = _NUMBER_RE.subn(words["number"], text)
+    text, n_num = _NUMBER_RE.subn(NUMBER_WORD, text)
     # Any token still carrying digits sheds them as separate number tokens.
-    text, n_emb = _EMBEDDED_DIGITS_RE.subn(f" {words['number']} ", text)
+    text, n_emb = _EMBEDDED_DIGITS_RE.subn(f" {NUMBER_WORD} ", text)
     return _WS_RE.sub(" ", text).strip(), n_paths, n_addr, n_num + n_emb
 
 
-def replace_placeholders(text: str, cfg: NormalizationConfig = DEFAULT_CONFIG) -> str:
+def replace_placeholders(text: str) -> str:
     """Abstract variable fields into placeholder words.
 
     Replacement order is paths, then addresses, then numbers, so digits
     inside a path or address never leak out as a number placeholder.
     """
-    return _replace_placeholders(text, cfg)[0]
+    return _replace_placeholders(text)[0]
 
 
-def normalize(raw: RawLog, cfg: NormalizationConfig = DEFAULT_CONFIG) -> CleanLog:
+def normalize(raw: RawLog) -> CleanLog:
     """Full cleaning pass: timestamps, compound splitting, placeholders, lowercasing.
 
     Raises EmptyAfterCleaning when nothing survives; callers decide whether
     to drop the line or keep a single unknown-token stand-in.
     """
-    clean, _ = _normalize_counted(raw, cfg, CleanReport())
+    clean, _ = _normalize_counted(raw, CleanReport())
     return clean
 
 
-def _normalize_counted(raw: RawLog, cfg: NormalizationConfig, report: CleanReport) -> tuple[CleanLog, CleanReport]:
-    text, n_ts = _strip_timestamps(raw.text, cfg)
-    if cfg.split_compound:
-        text = split_compound(text)
-    text, n_p, n_a, n_n = _replace_placeholders(text, cfg)
+def _normalize_counted(raw: RawLog, report: CleanReport) -> tuple[CleanLog, CleanReport]:
+    text, n_ts = _strip_timestamps(raw.text)
+    text, n_p, n_a, n_n = _replace_placeholders(split_compound(text))
     text = _WS_RE.sub(" ", text.lower()).strip()
     report.n_timestamps += n_ts
     report.n_paths += n_p
@@ -187,9 +168,7 @@ def _normalize_counted(raw: RawLog, cfg: NormalizationConfig, report: CleanRepor
     return CleanLog(text=text, raw_ref=(raw.source_id, raw.line_no)), report
 
 
-def clean_lines(
-    lines, source_id: str = "", cfg: NormalizationConfig = DEFAULT_CONFIG
-) -> tuple[list[CleanLog], CleanReport]:
+def clean_lines(lines, source_id: str = "") -> tuple[list[CleanLog], CleanReport]:
     """Normalize many lines, dropping the ones that clean away to nothing.
 
     Returns the surviving CleanLogs in input order and a report listing the
@@ -200,7 +179,7 @@ def clean_lines(
     for i, line in enumerate(lines):
         raw = RawLog(text=line.rstrip("\r\n"), source_id=source_id, line_no=i)
         try:
-            clean, report = _normalize_counted(raw, cfg, report)
+            clean, report = _normalize_counted(raw, report)
         except EmptyAfterCleaning:
             report.dropped_line_nos.append(i)
             continue

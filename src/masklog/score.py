@@ -176,14 +176,12 @@ def score_corpus(
     return reports
 
 
-def heatmap(ckpt: Checkpoint, corpus, labels=None, threads: int = 1) -> HeatmapMatrix:
+def heatmap(ckpt: Checkpoint, corpus, labels=None) -> HeatmapMatrix:
     """Token-by-token probability matrix for a corpus (always full coverage)."""
     corpus = list(corpus)
     if not corpus:
         raise ValueError("heatmap needs a non-empty corpus")
-    reports = score_corpus(
-        ckpt, corpus, MaskingStrategy(kind=TOKEN_BY_TOKEN, fraction=1.0), threads=threads
-    )
+    reports = score_corpus(ckpt, corpus, MaskingStrategy(kind=TOKEN_BY_TOKEN, fraction=1.0))
     width = max(seq.length for seq in corpus)
     values = np.full((len(corpus), width), np.nan)
     for i, rep in enumerate(reports):

@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checkpoint as ckpt_io
-from .errors import DivergenceDetected, EmptyCorpus, MalformedInput, VocabMismatch
+from .errors import DivergenceDetected, EmptyCorpus, MalformedInput
 from .masking import plan_random
 from .model import (
     ModelConfig,
     Parameters,
     init_params,
     loss_and_gradients,
-    masked_loss,
     param_table,
     params_digest,
 )
@@ -33,7 +32,6 @@ from .model import (
 _STREAM_SHUFFLE = 1
 _STREAM_MASK = 2
 _STREAM_DROPOUT = 3
-_STREAM_EVAL_MASK = 4
 
 
 def derive_seed(*parts: int) -> int:
@@ -83,37 +81,22 @@ class Checkpoint:
             object.__setattr__(self, "_digest", cached)
         return cached
 
-    def float64_params(self) -> Parameters:
-        """The parameters cast to float64, the forward pass's dtype (cached per instance).
-
-        Scoring reads this copy, through `scoring_params`, so that it does not
-        re-cast every weight on every forward call. Training updates its own `Parameters`, never this copy.
-        """
-        cached = getattr(self, "_float64_params", None)
-        if cached is None:
-            cached = Parameters(
-                self.params.config, {k: v.astype(np.float64) for k, v in self.params.items()}
-            )
-            object.__setattr__(self, "_float64_params", cached)
-        return cached
-
     def scoring_params(self) -> Parameters:
-        """`float64_params` with `out.w`/`out.b` padded by zero columns to a multiple of 8.
+        """float64 parameters, cast once per instance, `out.w`/`out.b` zero-padded to a multiple of 8 columns.
 
-        `forward` drops the padded logits. OpenBLAS computes a row of a
-        product 130 columns wide (the fixture's |V|) with bits that depend on
-        the product's row count; at a multiple of 8 they do not, so a log
-        scores the same alone as in a batch. Cached per instance.
+        Scoring reads this copy; training updates its own `Parameters`. `forward`
+        drops the padded logits. OpenBLAS computes a row of a product 130 columns
+        wide (the fixture's |V|) with bits that depend on the product's row count;
+        at a multiple of 8 they do not, so a log scores the same alone as in a batch.
         """
         cached = getattr(self, "_scoring_params", None)
         if cached is None:
-            cached = self.float64_params()
-            pad = -cached["out.b"].shape[0] % 8
+            tensors = {k: v.astype(np.float64) for k, v in self.params.items()}
+            pad = -tensors["out.b"].shape[0] % 8
             if pad:
-                tensors = dict(cached.tensors)
-                tensors["out.w"] = np.pad(cached["out.w"], ((0, 0), (0, pad)))
-                tensors["out.b"] = np.pad(cached["out.b"], (0, pad))
-                cached = Parameters(cached.config, tensors)
+                tensors["out.w"] = np.pad(tensors["out.w"], ((0, 0), (0, pad)))
+                tensors["out.b"] = np.pad(tensors["out.b"], (0, pad))
+            cached = Parameters(self.params.config, tensors)
             object.__setattr__(self, "_scoring_params", cached)
         return cached
 
@@ -237,34 +220,6 @@ def train(corpus_train, model_cfg: ModelConfig, cfg: TrainConfig, vocab_hash: st
         history=history,
         epoch_seconds=epoch_seconds,
     )
-
-
-def evaluate_loss(ckpt: Checkpoint, corpus, seed: int, vocab_hash: str | None = None) -> float:
-    """Mean masked-token loss over a corpus under seeded masking; forward passes only.
-
-    Batches and mask plans are built as in training; each batch runs
-    `masked_loss` on the float64 weights, so no backward pass.
-    """
-    if vocab_hash is not None and ckpt.vocab_hash and vocab_hash != ckpt.vocab_hash:
-        raise VocabMismatch("corpus vocabulary does not match the checkpoint")
-    corpus = list(corpus)
-    if not corpus:
-        raise EmptyCorpus("evaluation corpus is empty")
-    nll_sum = 0.0
-    masked_sum = 0
-    bs = ckpt.train_config.batch_size
-    for start in range(0, len(corpus), bs):
-        seqs, positions, targets = _batch_step_inputs(
-            corpus,
-            range(start, min(start + bs, len(corpus))),
-            ckpt.train_config.mask_fraction,
-            (seed, _STREAM_EVAL_MASK),
-        )
-        loss = masked_loss(ckpt.float64_params(), seqs, targets, positions)
-        n_masked = sum(len(p) for p in positions)
-        nll_sum += loss * n_masked
-        masked_sum += n_masked
-    return nll_sum / masked_sum
 
 
 def _format_float(x: float) -> str:

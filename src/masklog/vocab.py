@@ -34,10 +34,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    @property
-    def size(self) -> int:
-        return len(self.id_to_token)
-
     def digest(self) -> str:
         """sha256 of the canonical file serialization."""
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()

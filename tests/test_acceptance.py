@@ -94,7 +94,7 @@ def test_criterion_01_gradient_oracle():
     abs_guard = 1e-6
     checked = 0
     worst = 0.0
-    for name in params.names():
+    for name in params.tensors:
         flat = params.tensors[name].reshape(-1)
         flat_grad = grads[name].reshape(-1)
         for idx in rng.integers(0, flat.size, size=max(5, min(8, flat.size))):

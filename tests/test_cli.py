@@ -1,14 +1,21 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import platform
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import masklog
+from masklog import cli, errors
 from masklog.checkpoint import load_container, save_container
 from masklog.cli import main, read_scores, read_table, read_threshold, read_verdicts
 from masklog.errors import NoAnomaliesInTruth
@@ -352,6 +359,11 @@ class TestErrorPaths:
         assert doc["zero_division"] == ["recall", "f1"]
 
 
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
 def _truncated_checkpoint(run, tmp):
     path = tmp / "truncated.ckpt"
     path.write_bytes(run["ckpt"].read_bytes()[:200])
@@ -447,6 +459,48 @@ def _clean_with_short_labels(run, tmp):
     return ["clean", "--in", run["raw"], "--out", tmp / "c.log", "--labels", labels]
 
 
+def _score_of_the_labeled_test_file_without_labeled(run, tmp):
+    return ["score", "--in", run["test"], "--vocab", run["vocab"], "--checkpoint", run["ckpt"],
+            "--out", tmp / "s.tsv"]
+
+
+def _rerun_of(edit):
+    """rerun of the run's val-score manifest as `edit` leaves its JSON document."""
+
+    def make(run, tmp):
+        path = tmp / "edited.manifest.json"
+        path.write_text(json.dumps(edit(load_manifest(manifest_path_for(run["val_scores"])))))
+        return ["rerun", "--manifest", path]
+
+    return make
+
+
+def _checkpoint_file(data: bytes):
+    def make(run, tmp):
+        path = tmp / "forged.ckpt"
+        path.write_bytes(data)
+        return ["score", "--in", run["val"], "--vocab", run["vocab"], "--checkpoint", path,
+                "--out", tmp / "s.tsv"]
+
+    return make
+
+
+def _one_record(rank: int, *dims: int) -> bytes:
+    """A container with an empty header and one record named "x" that claims `dims`, and no payload."""
+    return (b"MLCKPT01" + struct.pack("<I", 0) + struct.pack("<I", 1) + struct.pack("<H", 1) + b"x"
+            + struct.pack("<B", rank) + struct.pack(f"<{rank}I", *dims))
+
+
+def _scores_with_repeats(text):
+    def make(run, tmp):
+        path = tmp / "s.tsv"
+        lines = run["val_scores"].read_text().splitlines(keepends=True)
+        path.write_text("".join(f"# repeats={text}\n" if line.startswith("# repeats=") else line for line in lines))
+        return ["calibrate", "--scores", path, "--out", tmp / "t.json"]
+
+    return make
+
+
 def _threshold_with(**changes):
     def make(run, tmp):
         doc = json.loads(run["threshold"].read_text())
@@ -464,7 +518,7 @@ BAD_INPUTS = {
         "calibrate", "--scores", r["val_scores"], "--out", t / "t.json", "--percentile", 0]),
     "mask-fraction-0": ("ConfigInvalid", lambda r, t: [
         "score", "--in", r["val"], "--vocab", r["vocab"], "--checkpoint", r["ckpt"],
-        "--out", t / "s.tsv", "--mask-fraction", 0]),
+        "--out", t / "s.tsv", "--mask-strategy", "random0"]),
     "truncated-checkpoint": ("MalformedInput", _truncated_checkpoint),
     "threshold-not-json": ("MalformedInput", lambda r, t: _threshold_file(r, t, "{not json")),
     "threshold-unknown-key": ("ConfigInvalid", _threshold_with_unknown_key),
@@ -487,6 +541,19 @@ BAD_INPUTS = {
     "ablate-finetune-other-vocab": ("VocabMismatch", _ablate_finetune_with_another_vocab),
     "clean-short-labels": ("LengthMismatch", _clean_with_short_labels),
     "unknown-flag": ("ConfigInvalid", lambda r, t: ["calibrate", "--no-such-flag", 1]),
+    "score-labeled-file-without-labeled": ("MalformedInput", _score_of_the_labeled_test_file_without_labeled),
+    "manifest-a-json-list": ("MalformedInput", _rerun_of(lambda doc: [doc])),
+    "manifest-without-options": ("MalformedInput", _rerun_of(
+        lambda doc: {k: v for k, v in doc.items() if k != "options"})),
+    "manifest-inputs-a-list": ("MalformedInput", _rerun_of(lambda doc: {**doc, "inputs": []})),
+    "manifest-command-a-list": ("MalformedInput", _rerun_of(lambda doc: {**doc, "command": ["x"]})),
+    "checkpoint-record-past-the-end": ("MalformedInput", _checkpoint_file(_one_record(2, 2**20, 2**20))),
+    "checkpoint-record-count-beyond-int64": ("MalformedInput", _checkpoint_file(_one_record(3, 2**31, 3, 2**32 - 1))),
+    "checkpoint-record-2e31-by-3": ("MalformedInput", _checkpoint_file(_one_record(2, 2**31, 3))),
+    "scores-repeats-not-an-int": ("MalformedInput", _scores_with_repeats("two")),
+    "config-value-of-another-type": ("ConfigInvalid", lambda r, t: [
+        "calibrate", "--config", _write(t / "c.json", '{"percentile": "90"}'), "--scores", r["val_scores"],
+        "--out", t / "t.json"]),
     "badly-typed-flag": ("ConfigInvalid", lambda r, t: ["synth", "--seed", "abc"]),
 }
 
@@ -499,6 +566,135 @@ def test_bad_input_gives_one_typed_json_error_line(case, small_run, tmp_path, ca
     assert rc == 2
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == expected
+
+
+# Every settable value of each command, as its flag name; `--config` aside.
+OPTION_SURFACE = {
+    "synth": "anomalies labels-out normal out seed templates",
+    "clean": "in labels labels-out out report",
+    "build-vocab": "in max-vocab min-freq out",
+    "split": "in labels out-dir seed",
+    "train": "batch-size d-ff d-model dropout epochs grad-clip in learning-rate log mask-fraction max-len "
+             "n-heads n-layers out seed vocab warmup-steps weight-decay",
+    "score": "checkpoint in labeled mask-strategy out repeats seed threads vocab",
+    "calibrate": "out percentile scores",
+    "detect": "out scores threshold",
+    "eval": "out test train val verdicts",
+    "ablate-masking": "checkpoint out percentiles repeats seed strategies test val vocab",
+    "ablate-finetune": "checkpoint mask-strategy out percentile seed test val vocab",
+    "heatmap": "checkpoint in labeled out vocab",
+    "rerun": "manifest",
+}
+
+
+def test_option_surface_lists_every_settable_value():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: sorted(a.option_strings[0][2:] for a in sub._actions if a.dest not in ("help", "config"))
+        for name, sub in commands.choices.items()
+    }
+    assert found == {name: sorted(flags.split()) for name, flags in OPTION_SURFACE.items()}
+    assert sum(len(flags) for name, flags in found.items() if name != "rerun") == 79
+
+
+@pytest.mark.parametrize("command, old_options, key", [
+    ("heatmap", {"threads": 1}, "threads"),
+    ("score", {"mask_strategy": "random", "mask_fraction": 0.15}, "mask_fraction"),
+])
+def test_rerun_refuses_a_manifest_with_a_deleted_option(small_run, tmp_path, capsys, command, old_options, key):
+    out = tmp_path / f"{command}.tsv"
+    assert run_cli(command, "--in", small_run["val"], "--vocab", small_run["vocab"],
+                   "--checkpoint", small_run["ckpt"], "--out", out) == 0
+    doc = load_manifest(manifest_path_for(out))
+    doc["options"].update(old_options)
+    old = _write(tmp_path / "old.manifest.json", json.dumps(doc))
+    assert main(["rerun", "--manifest", str(old)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigInvalid" and repr(key) in err["message"]
+
+
+_ERROR_NAMES = {n for n, c in vars(errors).items() if isinstance(c, type) and issubclass(c, errors.MasklogError)}
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _edited_json(doc: dict):
+    """`doc` with one top-level key dropped or given another JSON value, or another JSON value in its place."""
+    keys = sorted(doc)
+    dropped = st.sampled_from(keys).map(lambda k: {n: v for n, v in doc.items() if n != k})
+    swapped = st.tuples(st.sampled_from(keys), _JSON_VALUES).map(lambda kv: {**doc, kv[0]: kv[1]})
+    return st.one_of(dropped, swapped, _JSON_VALUES).map(lambda d: json.dumps(d).encode())
+
+
+def _damaged(own: bytes, others: list):
+    """A file cut at a random byte, random bytes, non-UTF-8 bytes, an empty file or another artifact's file."""
+    kinds = [
+        st.integers(0, len(own)).map(lambda n: own[:n]),
+        st.binary(max_size=300),
+        st.integers(0, len(own)).map(lambda n: own[:n] + b"\xff\xfe" + own[n:]),
+        st.just(b""),
+        st.sampled_from(others),
+    ]
+    try:
+        doc = json.loads(own)
+    except ValueError:  # not JSON text
+        doc = None
+    if isinstance(doc, dict):
+        kinds.append(_edited_json(doc))
+    return st.one_of(kinds)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(small_run, tmp_path_factory):
+    """Per reader: its own file's bytes, every reader's file's bytes, its command line, and a work directory."""
+    root = tmp_path_factory.mktemp("fuzz")
+    r = small_run
+    threshold = root / "threshold.json"
+    assert run_cli("calibrate", "--scores", r["val_scores"], "--out", threshold) == 0
+    readers = {
+        "scores": (r["val_scores"], lambda f: ["calibrate", "--scores", f, "--out", root / "t.json"]),
+        "verdicts": (r["verdicts"], lambda f: ["eval", "--verdicts", f, "--test", r["test"], "--out", root / "m.json"]),
+        "threshold": (threshold, lambda f: ["detect", "--scores", r["test_scores"], "--threshold", f,
+                                            "--out", root / "v.tsv"]),
+        "checkpoint": (r["ckpt"], lambda f: ["score", "--in", r["val"], "--vocab", r["vocab"], "--checkpoint", f,
+                                             "--out", root / "s.tsv"]),
+        "vocabulary": (r["vocab"], lambda f: ["score", "--in", r["val"], "--vocab", f, "--checkpoint", r["ckpt"],
+                                              "--out", root / "s.tsv"]),
+        "labeled text": (r["test"], lambda f: ["score", "--in", f, "--labeled", "--vocab", r["vocab"],
+                                               "--checkpoint", r["ckpt"], "--out", root / "s.tsv"]),
+        "manifest": (manifest_path_for(threshold), lambda f: ["rerun", "--manifest", f]),
+        "config": (_write(root / "c.json", '{"percentile": 80.0}'),
+                   lambda f: ["calibrate", "--config", f, "--scores", r["val_scores"], "--out", root / "t.json"]),
+    }
+    own = {name: Path(path).read_bytes() for name, (path, _) in readers.items()}
+    return {name: (own[name], list(own.values()), argv, root) for name, (_, argv) in readers.items()}
+
+
+@pytest.mark.parametrize("reader", ["scores", "verdicts", "threshold", "checkpoint", "vocabulary", "labeled text",
+                                    "manifest", "config"])
+def test_every_reader_refuses_a_damaged_file_with_one_typed_error(fuzz_files, reader, monkeypatch):
+    own, others, make_argv, root = fuzz_files[reader]
+    monkeypatch.chdir(root)  # where a relative path in an edited manifest or config lands
+    path = root / "fuzzed"
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=_damaged(own, others))
+    def run(data):
+        path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([str(a) for a in make_argv(path)])
+        lines = err.getvalue().splitlines()
+        assert (rc, len(lines)) in ((0, 0), (2, 1)), (rc, lines)
+        if rc:
+            assert json.loads(lines[0])["error"] in _ERROR_NAMES, lines
+
+    run()
 
 
 def test_threshold_reader_accepts_integral_floats(small_run, tmp_path):

@@ -52,7 +52,7 @@ class TestInit:
         a = init_params(tiny_cfg, seed=9)
         b = init_params(tiny_cfg, seed=9)
         assert params_digest(a) == params_digest(b)
-        for name in a.names():
+        for name in a.tensors:
             assert a[name].tobytes() == b[name].tobytes()
 
     def test_seed_changes_weights(self, tiny_cfg):
@@ -60,7 +60,7 @@ class TestInit:
 
     def test_norm_gains_are_ones(self, tiny_cfg):
         params = init_params(tiny_cfg, 0)
-        for name in params.names():
+        for name in params.tensors:
             if name.endswith(".gain"):
                 assert np.all(params[name] == 1.0)
             if name.endswith(".offset") or name.endswith((".bq", ".bk", ".bv", ".bo", ".b1", ".b2", "out.b")):
@@ -155,7 +155,7 @@ class TestHandComputedForward:
                           dropout_rate=0.0)
         params = init_params(cfg, 0)
         rng = np.random.default_rng(42)
-        for name in params.names():  # small but nontrivial weights everywhere
+        for name in params.tensors:  # small but nontrivial weights everywhere
             params.tensors[name] = rng.normal(0, 0.3, size=params[name].shape).astype(np.float32)
         w = {k: v.astype(np.float64) for k, v in params.items()}
 
@@ -245,7 +245,7 @@ class TestBackward:
         params = init_params(tiny_cfg, 3)
         grads = backward(params, batch, targets, positions)
         rng = np.random.default_rng(1)
-        for name in params.names():
+        for name in params.tensors:
             flat_grad = grads[name].reshape(-1)
             size = flat_grad.size
             for idx in rng.integers(0, size, size=3):
@@ -378,7 +378,7 @@ class TestFloat32Path:
                 return out
             return wrapped
 
-        for name in ("gather", "scatter", "to_heads", "from_heads", "pick", "affine", "embed"):
+        for name in ("gather", "scatter", "to_heads", "from_heads", "affine", "embed"):
             monkeypatch.setattr(_TokenRows, name, spy(getattr(_TokenRows, name)))
         for name in ("_scatter_add", "_gelu_grad", "_ln_backward"):
             monkeypatch.setattr(model, name, spy(getattr(model, name)))
@@ -387,7 +387,7 @@ class TestFloat32Path:
         assert isinstance(loss, float)
         assert {n: g.dtype for n, g in grads.items() if g.dtype != np.float32} == {}
         assert {n for n, _ in produced} == {
-            "gather", "scatter", "to_heads", "from_heads", "pick", "affine", "embed",
+            "gather", "scatter", "to_heads", "from_heads", "affine", "embed",
             "_scatter_add", "_gelu_grad", "_ln_backward",
         }
         assert [(n, dt) for n, dt in produced if dt != np.float32] == []

@@ -93,14 +93,14 @@ class TestScoreLog:
 
     def test_float64_weights_cast_once_and_exact(self, toy_model):
         ckpt = toy_model["checkpoint"]
-        cached = ckpt.float64_params()
+        cached = ckpt.scoring_params()
         score_log(ckpt, toy_model["seqs"][0], RANDOM15)
-        assert ckpt.float64_params() is cached
+        assert ckpt.scoring_params() is cached
         assert cached.config == ckpt.params.config
         assert set(cached.tensors) == set(ckpt.params.tensors)
-        for name, tensor in ckpt.params.items():
+        for name, tensor in ckpt.params.items():  # out.w/out.b sliced to |V|
             assert cached[name].dtype == np.float64
-            assert np.array_equal(cached[name], tensor)
+            assert np.array_equal(cached[name][..., : tensor.shape[-1]], tensor)
 
     def test_monotone_in_probabilities(self):
         probs = [(0, 0.9), (1, 0.5), (2, 0.8)]
@@ -252,6 +252,6 @@ class TestBatchedScoring:
         seqs = _mixed_corpus(130)[:6]
         positions = [[0]] * len(seqs)
         out = forward(padded, seqs, mask_positions=positions)
-        ref = forward(ckpt.float64_params(), seqs, mask_positions=positions)
+        ref = forward(ckpt.params, seqs, mask_positions=positions)
         assert out.logits.shape == ref.logits.shape == (6, 130)
         np.testing.assert_allclose(out.probabilities, ref.probabilities, rtol=0, atol=1e-12)

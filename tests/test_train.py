@@ -4,23 +4,11 @@ import numpy as np
 import pytest
 
 from masklog.checkpoint import load_container, save_container
-from masklog.errors import DivergenceDetected, EmptyCorpus, VocabMismatch
+from masklog.errors import DivergenceDetected, EmptyCorpus
 from masklog.masking import plan_token_by_token
-from masklog.model import ModelConfig, forward, init_params, loss_and_gradients, params_digest
-from masklog.train import (
-    _STREAM_EVAL_MASK,
-    Checkpoint,
-    _AdamW,
-    TrainConfig,
-    _batch_step_inputs,
-    evaluate_loss,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
+from masklog.model import ModelConfig, forward, init_params, params_digest
+from masklog.train import _AdamW, TrainConfig, load_checkpoint, save_checkpoint, train
 from masklog.vocab import PAD_ID, TokenSequence
-
-from conftest import make_seq
 
 
 def pattern_seqs(n_copies=8, width=8):
@@ -150,53 +138,6 @@ class TestAdamW:
         assert clipped == (6 if grad_clip is not None else 0)
 
 
-class TestEvaluateLoss:
-    def test_untrained_close_to_uniform(self):
-        seqs = pattern_seqs()
-        params = init_params(SMALL_CFG, 0)
-        ckpt = Checkpoint(params=params, vocab_hash="", train_config=TrainConfig(),
-                          final_loss=float("nan"), history=[])
-        loss = evaluate_loss(ckpt, seqs, seed=0)
-        ln_v = math.log(SMALL_CFG.vocab_size)
-        assert abs(loss - ln_v) / ln_v <= 0.10
-
-    def test_trained_beats_untrained(self):
-        seqs = pattern_seqs()
-        trained = train(seqs, SMALL_CFG, TrainConfig(epochs=20, batch_size=8, seed=3))
-        fresh = Checkpoint(params=init_params(SMALL_CFG, 3), vocab_hash="",
-                           train_config=trained.train_config, final_loss=float("nan"), history=[])
-        assert evaluate_loss(trained, seqs, seed=9) <= evaluate_loss(fresh, seqs, seed=9)
-
-    def test_seeded_and_repeatable(self):
-        seqs = pattern_seqs()
-        ckpt = train(seqs, SMALL_CFG, TrainConfig(epochs=2, batch_size=8, seed=3))
-        a = evaluate_loss(ckpt, seqs, seed=5)
-        b = evaluate_loss(ckpt, seqs, seed=5)
-        assert a == b
-
-    def test_forward_only_loss_matches_the_training_loss(self):
-        rng = np.random.default_rng(2)
-        seqs = pattern_seqs(n_copies=3) + [make_seq(n, rng=rng) for n in (2, 7, 1, 8, 3, 6, 4)]
-        cfg = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=2, d_ff=24, max_len=8)
-        ckpt = train(seqs, cfg, TrainConfig(epochs=2, batch_size=5, seed=3))
-        nll, masked = 0.0, 0
-        for start in range(0, len(seqs), 5):
-            batch, positions, targets = _batch_step_inputs(
-                seqs, range(start, min(start + 5, len(seqs))), 0.15, (4, _STREAM_EVAL_MASK)
-            )
-            loss, _ = loss_and_gradients(ckpt.params, batch, targets, positions)
-            nll += loss * sum(len(p) for p in positions)
-            masked += sum(len(p) for p in positions)
-        expected = nll / masked
-        assert abs(evaluate_loss(ckpt, seqs, seed=4) - expected) <= 1e-12 * expected
-
-    def test_vocab_mismatch(self):
-        seqs = pattern_seqs(n_copies=2)
-        ckpt = train(seqs, SMALL_CFG, TrainConfig(epochs=1, batch_size=8, seed=3), vocab_hash="aaa")
-        with pytest.raises(VocabMismatch):
-            evaluate_loss(ckpt, seqs, seed=0, vocab_hash="bbb")
-
-
 class TestCheckpointFile:
     def test_round_trip_bit_exact(self, tmp_path):
         seqs = pattern_seqs(n_copies=2)
@@ -204,7 +145,7 @@ class TestCheckpointFile:
         path = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
-        for name in ckpt.params.names():
+        for name in ckpt.params.tensors:
             assert loaded.params[name].tobytes() == ckpt.params[name].tobytes()
             assert loaded.params[name].dtype == np.float32
         assert loaded.model_config == ckpt.model_config
@@ -212,7 +153,7 @@ class TestCheckpointFile:
         assert loaded.vocab_hash == "vh"
         assert loaded.history == ckpt.history
         assert loaded.final_loss == ckpt.final_loss
-        assert evaluate_loss(loaded, seqs, seed=4) == evaluate_loss(ckpt, seqs, seed=4)
+        assert forward(loaded.params, seqs).logits.tobytes() == forward(ckpt.params, seqs).logits.tobytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
         seqs = pattern_seqs(n_copies=2)
