@@ -310,13 +310,20 @@ def run_train(opts):
     tokens = sum(int(s.length) for s in seqs)  # content tokens per epoch
     write_table(
         log_path,
-        ["epoch", "mean_loss", "wall_time_s", "tokens_per_s"],
+        ["epoch", "mean_loss", "wall_time_s", "tokens_per_s", "grad_norm_mean", "grad_norm_max", "clip_frac"],
         [
-            (i, loss, f"{secs:.3f}", f"{tokens / secs:.1f}")
-            for i, (loss, secs) in enumerate(zip(ckpt.history, ckpt.epoch_seconds))
+            (i, loss, f"{secs:.3f}", f"{tokens / secs:.1f}", *_grad_norm_cells(norms, train_cfg.grad_clip))
+            for i, (loss, secs, norms) in enumerate(zip(ckpt.history, ckpt.epoch_seconds, ckpt.grad_norms))
         ],
     )
     return [opts["in_"], opts["vocab"]], [opts["out"]], [log_path]
+
+
+def _grad_norm_cells(norms: list[float], clip: float | None) -> tuple:
+    """An epoch's mean and max pre-clip gradient norm (`NA` when clipping is off) and its clipped share of steps."""
+    if not norms:
+        return "NA", "NA", 0.0
+    return sum(norms) / len(norms), max(norms), sum(n > clip for n in norms) / len(norms)
 
 
 def _checkpoint_and_vocab(opts):

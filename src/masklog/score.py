@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import VocabMismatch
+from .errors import EmptyCorpus, VocabMismatch
 from .masking import TOKEN_BY_TOKEN, MaskingStrategy, plan_random, plan_token_by_token
 from .model import forward
 from .train import Checkpoint, derive_seed
@@ -180,7 +180,7 @@ def heatmap(ckpt: Checkpoint, corpus, labels=None) -> HeatmapMatrix:
     """Token-by-token probability matrix for a corpus (always full coverage)."""
     corpus = list(corpus)
     if not corpus:
-        raise ValueError("heatmap needs a non-empty corpus")
+        raise EmptyCorpus("heatmap needs a non-empty corpus")
     reports = score_corpus(ckpt, corpus, MaskingStrategy(kind=TOKEN_BY_TOKEN, fraction=1.0))
     width = max(seq.length for seq in corpus)
     values = np.full((len(corpus), width), np.nan)

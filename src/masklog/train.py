@@ -3,8 +3,10 @@
 The optimizer is adaptive moment estimation with decoupled weight decay
 (decay on matrix-shaped tensors only) and global-norm gradient clipping. Each
 step's forward and backward pass run in float32, the weights' storage dtype;
-the clip norm and the optimizer moments stay float64. The whole run is a pure
-function of its inputs and seed.
+the clip norm and the optimizer moments stay float64. The optimizer sweeps each
+tensor in cache-sized blocks and writes the float32 weights in place, with the
+same float64 operations per element as the whole-tensor update. The whole run
+is a pure function of its inputs and seed.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ class Checkpoint:
     final_loss: float
     history: list[float] = field(default_factory=list)
     epoch_seconds: list[float] = field(default_factory=list)  # wall time per epoch; not saved
+    # pre-clip global gradient norm of each step, per epoch (empty when clipping is off); not saved
+    grad_norms: list[list[float]] = field(default_factory=list)
 
     @property
     def model_config(self) -> ModelConfig:
@@ -101,58 +105,87 @@ class Checkpoint:
         return cached
 
 
-class _AdamW:
-    """AdamW with float64 moments, updated in place.
+# float64 elements per block of an AdamW sweep (256 KiB): a block's gradient, moments,
+# weights and three buffers, about 1.5 MB, fit a 2 MB per-core L2. It must be at least
+# 128, numpy's pairwise-sum leaf, so that the clip norm's block sums split where
+# numpy's own sum splits.
+_BLOCK = 32_768
 
-    Each incoming gradient is cast to float64 once, into a buffer held per
-    tensor; the clip norm, the moments and the update are computed at float64
-    through those buffers and one shared scratch array, in the operation order
-    of ``w - (lr * (m / bc1) / (sqrt(v / bc2) + eps) + lr * wd * w)``.
+
+class _AdamW:
+    """AdamW with float64 moments, one flat array per tensor, updated in place by blocks.
+
+    Each tensor is swept in blocks of `_BLOCK` elements. A block's gradient is
+    cast to float64 into a block-sized buffer, and its clip scaling, moment
+    updates, update and decay run there, in the operation order of
+    ``w - (lr * (m / bc1) / (sqrt(v / bc2) + eps) + lr * wd * w)``, before the
+    result is rounded into the float32 weights in place. Every element sees the
+    float64 operations of the whole-tensor formula, so the result is the same
+    to the bit. The weights must be C-contiguous float32; a tensor that is not
+    is replaced by a contiguous float32 copy on the first step.
     """
 
     def __init__(self, tensors: dict, cfg: TrainConfig):
         self.cfg = cfg
         self.step = 0
-        self.m = {k: np.zeros(v.shape) for k, v in tensors.items()}
-        self.v = {k: np.zeros(v.shape) for k, v in tensors.items()}
-        self.g = {k: np.zeros(v.shape) for k, v in tensors.items()}
-        self._scratch = np.zeros(max(v.size for v in tensors.values()))
+        self.m = {k: np.zeros(v.size) for k, v in tensors.items()}
+        self.v = {k: np.zeros(v.size) for k, v in tensors.items()}
+        self._bufs = tuple(np.zeros(_BLOCK) for _ in range(3))
 
-    def apply(self, tensors: dict, grads: dict) -> None:
+    def apply(self, tensors: dict, grads: dict) -> float | None:
+        """One step; returns the pre-clip global gradient norm, or None when clipping is off."""
         c = self.cfg
         self.step += 1
         lr = c.learning_rate
         if c.warmup_steps > 0:
             lr *= min(1.0, self.step / c.warmup_steps)
-        g64 = {name: self.g[name] for name in grads}
-        for name, g in grads.items():
-            np.copyto(g64[name], g)
+        flat = {name: np.ravel(g) for name, g in grads.items()}
+        norm = scale = None
         if c.grad_clip is not None:
-            norm = math.sqrt(sum(float(np.multiply(g, g, out=self._tmp(g)).sum()) for g in g64.values()))
+            norm = math.sqrt(sum(self._sum_squares(g) for g in flat.values()))
             if norm > c.grad_clip:
                 scale = c.grad_clip / norm
-                for g in g64.values():
-                    g *= scale
         bc1 = 1.0 - c.beta1**self.step
         bc2 = 1.0 - c.beta2**self.step
-        for name, g in g64.items():
-            m, v, tmp, w = self.m[name], self.v[name], self._tmp(g), tensors[name]
-            m *= c.beta1
-            m += np.multiply(g, 1.0 - c.beta1, out=tmp)
-            v *= c.beta2
-            np.multiply(g, 1.0 - c.beta2, out=tmp)
-            v += np.multiply(tmp, g, out=tmp)
-            # g is spent: it holds sqrt(v / bc2) + eps, then w as float64
-            update = np.multiply(np.divide(m, bc1, out=tmp), lr, out=tmp)
-            update /= np.add(np.sqrt(np.divide(v, bc2, out=g), out=g), c.adam_eps, out=g)
-            if w.ndim == 2 and c.weight_decay:
-                np.copyto(g, w)
-                update += np.multiply(g, lr * c.weight_decay, out=g)
-            np.copyto(g, w)
-            tensors[name] = np.subtract(g, update, out=update).astype(np.float32)
+        for name, g in flat.items():
+            tensors[name] = np.ascontiguousarray(tensors[name], dtype=np.float32)
+            decay = tensors[name].ndim == 2 and c.weight_decay
+            w, m, v = tensors[name].reshape(-1), self.m[name], self.v[name]
+            for lo in range(0, g.size, _BLOCK):
+                hi = min(lo + _BLOCK, g.size)
+                gb, tmp, wb = (buf[: hi - lo] for buf in self._bufs)
+                mb, vb = m[lo:hi], v[lo:hi]
+                np.copyto(gb, g[lo:hi])
+                if scale is not None:
+                    gb *= scale
+                mb *= c.beta1
+                mb += np.multiply(gb, 1.0 - c.beta1, out=tmp)
+                vb *= c.beta2
+                np.multiply(gb, 1.0 - c.beta2, out=tmp)
+                vb += np.multiply(tmp, gb, out=tmp)
+                # gb is spent: it holds sqrt(v / bc2) + eps, then the decay term
+                update = np.multiply(np.divide(mb, bc1, out=tmp), lr, out=tmp)
+                update /= np.add(np.sqrt(np.divide(vb, bc2, out=gb), out=gb), c.adam_eps, out=gb)
+                np.copyto(wb, w[lo:hi])
+                if decay:
+                    update += np.multiply(wb, lr * c.weight_decay, out=gb)
+                np.subtract(wb, update, out=w[lo:hi])
+        return norm
 
-    def _tmp(self, like: np.ndarray) -> np.ndarray:
-        return self._scratch[: like.size].reshape(like.shape)
+    def _sum_squares(self, g: np.ndarray) -> float:
+        """``float(np.multiply(g64, g64).sum())`` of a flat gradient, one block at a time.
+
+        numpy sums by pairwise halving, each half a multiple of 8 elements, down
+        to 128-element leaves; splitting the same way down to blocks and
+        summing each block's squares with numpy adds in the same order.
+        """
+        if g.size <= _BLOCK:
+            sq = self._bufs[0][: g.size]
+            np.copyto(sq, g)
+            return float(np.multiply(sq, sq, out=sq).sum())
+        half = g.size // 2
+        half -= half % 8
+        return self._sum_squares(g[:half]) + self._sum_squares(g[half:])
 
 
 def _batch_step_inputs(corpus, indices, mask_fraction, seed_prefix: tuple):
@@ -175,7 +208,8 @@ def train(corpus_train, model_cfg: ModelConfig, cfg: TrainConfig, vocab_hash: st
 
     Each epoch reshuffles the corpus and redraws one random mask plan per
     sequence (both seeded), then applies one optimizer step per batch. The
-    recorded history is the mean loss per masked token for each epoch.
+    recorded history is the mean loss per masked token for each epoch, and
+    `grad_norms` holds each step's pre-clip global gradient norm.
     """
     corpus = list(corpus_train)
     if not corpus:
@@ -184,12 +218,14 @@ def train(corpus_train, model_cfg: ModelConfig, cfg: TrainConfig, vocab_hash: st
     opt = _AdamW(params.tensors, cfg)
     history: list[float] = []
     epoch_seconds: list[float] = []
+    grad_norms: list[list[float]] = []
     n = len(corpus)
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         order = np.random.default_rng((cfg.seed, _STREAM_SHUFFLE, epoch)).permutation(n)
         nll_sum = 0.0
         masked_sum = 0
+        norms = []
         for start in range(0, n, cfg.batch_size):
             indices = order[start : start + cfg.batch_size]
             seqs, positions, targets = _batch_step_inputs(
@@ -209,9 +245,12 @@ def train(corpus_train, model_cfg: ModelConfig, cfg: TrainConfig, vocab_hash: st
             n_masked = sum(len(p) for p in positions)
             nll_sum += loss * n_masked
             masked_sum += n_masked
-            opt.apply(params.tensors, grads)
+            norm = opt.apply(params.tensors, grads)
+            if norm is not None:
+                norms.append(norm)
         history.append(nll_sum / masked_sum)
         epoch_seconds.append(time.perf_counter() - t0)
+        grad_norms.append(norms)
     return Checkpoint(
         params=params,
         vocab_hash=vocab_hash,
@@ -219,6 +258,7 @@ def train(corpus_train, model_cfg: ModelConfig, cfg: TrainConfig, vocab_hash: st
         final_loss=history[-1],
         history=history,
         epoch_seconds=epoch_seconds,
+        grad_norms=grad_norms,
     )
 
 

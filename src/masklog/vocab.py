@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import EmptyAfterCleaning, EmptyCorpus, MalformedInput, UnknownId
+from .errors import ConfigInvalid, EmptyAfterCleaning, EmptyCorpus, MalformedInput, UnknownId
 from .normalize import CleanLog
 
 PAD_ID = 0
@@ -68,6 +68,10 @@ def build_vocab(corpus, min_freq: int = 1, max_size: int = 8192) -> Vocabulary:
     """
     if min_freq < 1:
         raise ValueError("min_freq must be >= 1")
+    if max_size <= len(SPECIAL_TOKENS):
+        raise ConfigInvalid(
+            f"max_vocab={max_size} leaves no room for a token beside the {len(SPECIAL_TOKENS)} special tokens"
+        )
     counts: Counter = Counter()
     n_logs = 0
     for log in corpus:

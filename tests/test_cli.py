@@ -127,13 +127,28 @@ class TestArtifacts:
         vocab = load_vocab(small_run["vocab"])
         texts = small_run["train"].read_text().splitlines()
         tokens = sum(encode(CleanLog(text=t, raw_ref=("", 0)), vocab, 48).length for t in texts)
-        columns = {"epoch": int, "mean_loss": float, "wall_time_s": float, "tokens_per_s": float}
+        columns = {"epoch": int, "mean_loss": float, "wall_time_s": float, "tokens_per_s": float,
+                   "grad_norm_mean": float, "grad_norm_max": float, "clip_frac": float}
         _, rows = read_table(str(small_run["ckpt"]) + ".log.tsv", columns)
         assert [r["epoch"] for r in rows] == [0, 1, 2, 3]
         for r in rows:  # wall_time_s is rounded to the millisecond
             secs = r["wall_time_s"]
             assert tokens / (secs + 5e-4) <= r["tokens_per_s"] <= tokens / (secs - 5e-4)
-        assert "tokens_per_s" not in load_container(small_run["ckpt"])[0]
+            assert 0.0 < r["grad_norm_mean"] <= r["grad_norm_max"]
+            assert 0.0 <= r["clip_frac"] <= 1.0
+            assert (r["clip_frac"] > 0.0) == (r["grad_norm_max"] > 1.0)  # the default --grad-clip
+        header = load_container(small_run["ckpt"])[0]
+        assert not {"tokens_per_s", "grad_norm_mean", "grad_norm_max", "clip_frac"} & set(header)
+
+    def test_train_log_norm_columns_read_na_without_clipping(self, small_run, tmp_path):
+        out = tmp_path / "m.ckpt"
+        assert run_cli("train", "--in", small_run["train"], "--vocab", small_run["vocab"], "--out", out,
+                       "--epochs", 2, "--d-model", 16, "--n-heads", 2, "--d-ff", 16, "--max-len", 48,
+                       "--grad-clip", 0) == 0
+        columns = {"epoch": int, "mean_loss": float, "wall_time_s": float, "tokens_per_s": float,
+                   "grad_norm_mean": str, "grad_norm_max": str, "clip_frac": float}
+        _, rows = read_table(str(out) + ".log.tsv", columns)
+        assert [(r["grad_norm_mean"], r["grad_norm_max"], r["clip_frac"]) for r in rows] == [("NA", "NA", 0.0)] * 2
 
     def test_eval_report(self, small_run):
         doc = json.loads(small_run["metrics"].read_text())
@@ -555,6 +570,11 @@ BAD_INPUTS = {
         "calibrate", "--config", _write(t / "c.json", '{"percentile": "90"}'), "--scores", r["val_scores"],
         "--out", t / "t.json"]),
     "badly-typed-flag": ("ConfigInvalid", lambda r, t: ["synth", "--seed", "abc"]),
+    "heatmap-of-an-empty-file": ("EmptyCorpus", lambda r, t: [
+        "heatmap", "--in", _write(t / "empty.txt", ""), "--vocab", r["vocab"], "--checkpoint", r["ckpt"],
+        "--out", t / "h.tsv"]),
+    "build-vocab-max-vocab-4": ("ConfigInvalid", lambda r, t: [
+        "build-vocab", "--in", r["train"], "--out", t / "v.txt", "--max-vocab", 4]),
 }
 
 

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from masklog.checkpoint import load_container, save_container
 from masklog.errors import DivergenceDetected, EmptyCorpus
 from masklog.masking import plan_token_by_token
 from masklog.model import ModelConfig, forward, init_params, params_digest
-from masklog.train import _AdamW, TrainConfig, load_checkpoint, save_checkpoint, train
+from masklog.train import _BLOCK, _AdamW, TrainConfig, load_checkpoint, save_checkpoint, train
 from masklog.vocab import PAD_ID, TokenSequence
 
 
@@ -21,6 +22,8 @@ def pattern_seqs(n_copies=8, width=8):
             seqs.append(TokenSequence(ids=ids, length=len(pat)))
     return seqs
 
+
+train_mod = importlib.import_module("masklog.train")  # the package exports the function `train`
 
 SMALL_CFG = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=1, d_ff=24, max_len=8,
                         dropout_rate=0.0)
@@ -66,9 +69,6 @@ class TestTrain:
     def test_divergence_detected(self, monkeypatch):
         # layer norm keeps the real net finite even at absurd rates, so force
         # the non-finite-loss path directly
-        import importlib
-
-        train_mod = importlib.import_module("masklog.train")
         monkeypatch.setattr(train_mod, "loss_and_gradients", lambda *a, **k: (float("nan"), {}))
         with pytest.raises(DivergenceDetected):
             train(pattern_seqs(n_copies=2), SMALL_CFG, TrainConfig(epochs=1, batch_size=8, seed=0))
@@ -94,6 +94,7 @@ class _ReferenceAdamW:
         lr = c.learning_rate
         if c.warmup_steps > 0:
             lr *= min(1.0, self.step / c.warmup_steps)
+        grads = {k: g.astype(np.float64) for k, g in grads.items()}
         if c.grad_clip is not None:
             norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
             if norm > c.grad_clip:
@@ -136,6 +137,47 @@ class TestAdamW:
                 assert opt.m[name].tobytes() == ref_opt.m[name].tobytes(), name
                 assert opt.v[name].tobytes() == ref_opt.v[name].tobytes(), name
         assert clipped == (6 if grad_clip is not None else 0)
+
+    # A block of 128 elements, numpy's pairwise-sum leaf and the smallest at which the
+    # block-wise clip norm still splits where numpy's sum does. Around it: tensors of
+    # several blocks with ragged tails, exactly one block, one element either side, one element.
+    BLOCK_SHAPES = {"a.w": (37, 29), "b.w": (16, 8), "c.w": (3, 43), "d.b": (300,), "e.b": (127,),
+                    "f.b": (129,), "g.b": (1,)}
+
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("grad_clip", [0.5, None])
+    def test_ragged_blocks_are_bit_identical_to_the_reference_formula(self, monkeypatch, grad_dtype, grad_clip):
+        monkeypatch.setattr(train_mod, "_BLOCK", 128)
+        cfg = TrainConfig(learning_rate=3e-2, weight_decay=0.1, grad_clip=grad_clip, warmup_steps=3)
+        rng = np.random.default_rng(11)
+        ours = {k: rng.normal(0.0, 0.5, s).astype(np.float32) for k, s in self.BLOCK_SHAPES.items()}
+        ref = {k: w.copy() for k, w in ours.items()}
+        weights = dict(ours)
+        opt, ref_opt = _AdamW(ours, cfg), _ReferenceAdamW(ref, cfg)
+        for _ in range(5):
+            grads = {k: rng.normal(0.0, 0.3, w.shape).astype(grad_dtype) for k, w in ours.items()}
+            g64 = [g.astype(np.float64) for g in grads.values()]
+            norm = opt.apply(ours, {k: g.copy() for k, g in grads.items()})
+            ref_opt.apply(ref, grads)
+            if grad_clip is None:
+                assert norm is None
+            else:
+                assert norm == math.sqrt(sum(float(np.multiply(g, g).sum()) for g in g64))
+            for name in ref:
+                assert ours[name] is weights[name]  # written in place
+                assert ours[name].tobytes() == ref[name].tobytes(), name
+                assert opt.m[name].tobytes() == ref_opt.m[name].tobytes(), name
+                assert opt.v[name].tobytes() == ref_opt.v[name].tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (8,), (9,), (127,), (128,), (129,), (_BLOCK - 1,), (_BLOCK,),
+                                       (_BLOCK + 1,), (3 * _BLOCK + 5,), (8192, 128)])
+    def test_block_sum_of_squares_equals_numpys_whole_tensor_sum(self, shape, dtype):
+        # heavy tails, so that any change in the order of additions shows in the last bits
+        g = np.random.default_rng(int(np.prod(shape))).standard_cauchy(shape).astype(dtype)
+        g64 = g.astype(np.float64)
+        opt = _AdamW({"g": g}, TrainConfig())
+        assert opt._sum_squares(np.ravel(g)) == float(np.multiply(g64, g64).sum())
 
 
 class TestCheckpointFile:

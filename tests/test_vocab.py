@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masklog.errors import EmptyAfterCleaning, EmptyCorpus, UnknownId
+from masklog.errors import ConfigInvalid, EmptyAfterCleaning, EmptyCorpus, UnknownId
 from masklog.normalize import CleanLog
 from masklog.vocab import (
     CLS_ID,
@@ -37,6 +37,11 @@ class TestBuildVocab:
         vocab = build_vocab(["a a a b b c"], min_freq=1, max_size=6)
         assert len(vocab) == 6
         assert vocab.id_to_token[4:] == ("a", "b")
+
+    @pytest.mark.parametrize("max_size", [0, 4])
+    def test_max_size_without_room_for_a_token_is_refused(self, max_size):
+        with pytest.raises(ConfigInvalid, match=f"max_vocab={max_size} .* 4 special tokens"):
+            build_vocab(["a b"], min_freq=1, max_size=max_size)
 
     def test_monotone_in_min_freq(self):
         corpus = ["a b c", "a b", "a", "d d e"]
