@@ -13,11 +13,9 @@ from .corpus import (
 )
 from .detect import (
     MetricsReport,
-    Verdict,
     ablate_finetune,
     ablate_masking,
     assert_no_leakage,
-    classify,
     metrics,
 )
 from .masking import MaskingStrategy, MaskPlan, plan_random, plan_token_by_token

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import uuid
 
@@ -28,3 +29,10 @@ def atomic_open(path, binary: bool = False):
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, obj) -> None:
+    """`obj` as JSON with sorted keys, indented by 2, and a final newline, written atomically."""
+    with atomic_open(path) as f:
+        json.dump(obj, f, sort_keys=True, indent=2)
+        f.write("\n")

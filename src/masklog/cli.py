@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .atomic import atomic_open
+from .atomic import atomic_open, write_json
 from .calibrate import Threshold, select_threshold
 from .corpus import (
     LABEL_ANOMALOUS,
@@ -58,12 +58,6 @@ from .vocab import build_vocab, encode, load_vocab, save_vocab
 
 def _fmt(x) -> str:
     return repr(float(x))
-
-
-def _dump_json(path, obj) -> None:
-    with atomic_open(path) as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
 
 
 def _require(opts, *keys) -> None:
@@ -147,7 +141,7 @@ def read_verdicts(path):
 
 
 def write_threshold(path, t: Threshold) -> None:
-    _dump_json(path, dataclasses.asdict(t))
+    write_json(path, dataclasses.asdict(t))
 
 
 _JSON_TYPES = {"float": (int, float), "int": int, "str": str}
@@ -208,7 +202,7 @@ def write_heatmap(path, hm) -> None:
         ],
         "summary": {k: [_fmt(v) if v == v else "NA" for v in vals] for k, vals in hm.summary.items()},
     }
-    _dump_json(str(path) + ".rows.json", sidecar)
+    write_json(str(path) + ".rows.json", sidecar)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +226,7 @@ def run_clean(opts):
     cleaned, report = clean_lines(lines, source_id=os.path.basename(opts["in_"]))
     write_lines(opts["out"], [c.text for c in cleaned])
     report_path = opts.get("report") or opts["out"] + ".report.json"
-    _dump_json(report_path, report.as_dict())
+    write_json(report_path, report.as_dict())
     inputs = [opts["in_"]]
     outputs = [opts["out"], report_path]
     if labels is not None:
@@ -271,7 +265,7 @@ def run_split(opts):
     write_lines(train_path, [c.text for c in result.train])
     write_lines(val_path, [c.text for c in result.validation])
     write_labeled(test_path, [c.text for c, _ in result.test], [lab for _, lab in result.test])
-    _dump_json(
+    write_json(
         info_path,
         {
             "seed": opts["seed"],
@@ -292,7 +286,7 @@ def run_train(opts):
     _require(opts, "in_", "vocab", "out")
     vocab = load_vocab(opts["vocab"])
     dims = {k: opts[k] for k in ("d_model", "n_heads", "n_layers", "d_ff", "max_len")}
-    model_cfg = ModelConfig(vocab_size=len(vocab), dropout_rate=opts["dropout"], **dims)
+    model_cfg = ModelConfig(vocab_size=len(vocab), **dims)
     train_cfg = TrainConfig(
         epochs=opts["epochs"],
         batch_size=opts["batch_size"],
@@ -426,7 +420,7 @@ def run_eval(opts):
     m = metrics([predicted[ref] for ref in refs], truth)
     doc = dataclasses.asdict(m)
     doc["n_test"] = len(texts)
-    _dump_json(opts["out"], doc)
+    write_json(opts["out"], doc)
     print(f"precision={m.precision:.4f} recall={m.recall:.4f} f1={m.f1:.4f}")
     return inputs, [opts["out"]], []
 
@@ -478,7 +472,7 @@ def run_ablate_finetune(opts):
         "untrained_mean_normal_score": result.untrained_mean_normal_score,
         "f1_gap": result.trained.f1 - result.untrained.f1,
     }
-    _dump_json(opts["out"], doc)
+    write_json(opts["out"], doc)
     return inputs, [opts["out"]], []
 
 
@@ -495,11 +489,6 @@ def run_heatmap(opts):
 
 # ---------------------------------------------------------------------------
 # option plumbing
-
-_PATH_OPTS = {
-    "in_", "out", "labels", "labels_out", "report", "vocab", "checkpoint", "scores",
-    "threshold", "verdicts", "test", "train", "val", "out_dir", "log", "manifest",
-}
 
 _COMMANDS: dict = {}
 
@@ -553,7 +542,6 @@ _register(
         "n_layers": 2,
         "d_ff": 256,
         "max_len": 128,
-        "dropout": 0.0,
     },
     ("in_", "vocab", "out", "log"),
     "train the encoder on normal logs",

@@ -1,25 +1,17 @@
-"""Classification against the threshold, metrics, leakage guard, and ablations."""
+"""The strict-inequality verdict rule, metrics, leakage guard, and ablations."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
 
-from .calibrate import Threshold, select_threshold
+from .calibrate import select_threshold
 from .corpus import LABEL_ANOMALOUS, LABEL_NORMAL, canon_label
-from .errors import CheckpointMismatch, LeakageDetected, LengthMismatch, NoAnomaliesInTruth
+from .errors import LeakageDetected, LengthMismatch, NoAnomaliesInTruth
 from .masking import MaskingStrategy
 from .model import init_params
-from .score import ScoreReport, score_corpus
+from .score import score_corpus
 from .train import Checkpoint
-
-
-@dataclass(frozen=True)
-class Verdict:
-    raw_ref: tuple
-    score: float
-    threshold_value: float
-    label: str
 
 
 @dataclass(frozen=True)
@@ -37,14 +29,6 @@ class MetricsReport:
 def verdict_label(score: float, threshold: float) -> str:
     """Strict-inequality rule: a score exactly at the threshold is normal."""
     return LABEL_ANOMALOUS if score > threshold else LABEL_NORMAL
-
-
-def classify(report: ScoreReport, t: Threshold) -> Verdict:
-    """`verdict_label` for a report, refusing a threshold from another checkpoint."""
-    if report.checkpoint_hash and t.checkpoint_hash and report.checkpoint_hash != t.checkpoint_hash:
-        raise CheckpointMismatch("score and threshold come from different checkpoints")
-    label = verdict_label(report.score, t.value)
-    return Verdict(raw_ref=report.raw_ref, score=report.score, threshold_value=t.value, label=label)
 
 
 def confusion_counts(predicted, truth) -> tuple[int, int, int, int]:
@@ -87,12 +71,11 @@ def metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> MetricsReport:
     )
 
 
-def metrics(verdicts, truth) -> MetricsReport:
-    """Confusion counts plus precision/recall/F1 for verdicts against true labels."""
+def metrics(predicted, truth) -> MetricsReport:
+    """Confusion counts plus precision/recall/F1 for predicted labels against true labels."""
     truth = [canon_label(t) for t in truth]
     if LABEL_ANOMALOUS not in truth:
         warnings.warn("truth contains no anomalies; recall is vacuous", NoAnomaliesInTruth)
-    predicted = [v.label if isinstance(v, Verdict) else v for v in verdicts]
     return metrics_from_counts(*confusion_counts(predicted, truth))
 
 
@@ -119,8 +102,8 @@ def percentile_grid(
     cells = []
     for p in percentiles:
         t = select_threshold(cal_scores, p, checkpoint_hash=checkpoint_hash, strategy=strategy)
-        verdicts = [classify(r, t) for r in test_reports]
-        cells.append(AblationCell(strategy, float(p), t.value, metrics(verdicts, truth)))
+        predicted = [verdict_label(r.score, t.value) for r in test_reports]
+        cells.append(AblationCell(strategy, float(p), t.value, metrics(predicted, truth)))
     return cells
 
 

@@ -49,10 +49,6 @@ class NonFiniteScore(MasklogError):
     """A score list contains NaN or infinity."""
 
 
-class CheckpointMismatch(MasklogError):
-    """Scores and threshold derive from different checkpoints."""
-
-
 class LengthMismatch(MasklogError, ValueError):
     """Parallel sequences (predictions vs. truth, logs vs. labels) differ in length."""
 

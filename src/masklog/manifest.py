@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_json
 from .errors import DigestMismatch, MalformedInput, MissingInput
 
 TOOL_NAME = "masklog"
@@ -87,9 +87,7 @@ def write_manifest(
     primary = next(iter(outputs)) if outputs else None
     if primary is not None:
         path = manifest_path_for(primary)
-        with atomic_open(path) as f:
-            json.dump(doc, f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(path, doc)
         doc["manifest_path"] = path
     return doc
 

@@ -25,11 +25,10 @@ layer norms, the Q/K/V/output projections and the feed-forward block run on
 those rows, forward and backward. Rows are scattered to [B, H, L, d/H] only
 for the attention core (scores, softmax, attention-weighted values), where
 padded keys are masked out. No row at a padding position is computed, and
-no id in a padding slot reaches the arithmetic. Dropout masks are drawn at
-the padded [B, L, d] shape and then gathered, so a seed gives the same draws
-whatever the layout. A batch without padding, which is every batch that
-scoring and the heatmap run (they batch logs of one length), bypasses the
-gather and the scatter: its rows are the [B, L] grid itself.
+no id in a padding slot reaches the arithmetic. A batch without padding,
+which is every batch that scoring and the heatmap run (they batch logs of one
+length), bypasses the gather and the scatter: its rows are the [B, L] grid
+itself. A pass depends only on its parameters and its batch.
 
 Every projection, the head included, is one 2-D `rows @ W` product of at
 least two rows (`_TokenRows.affine`). Where a row's bits in such a product do
@@ -60,7 +59,6 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _EMBED_STD = 0.1
 _OUT_STD = 0.02  # small output head keeps the fresh model near-uniform over the vocabulary
-_DROPOUT_STREAM = 0xD0
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,6 @@ class ModelConfig:
     n_layers: int = 2
     d_ff: int = 256
     max_len: int = 128
-    dropout_rate: float = 0.0
 
     def __post_init__(self):
         if min(self.d_model, self.n_heads, self.n_layers, self.d_ff, self.max_len) < 1:
@@ -80,8 +77,6 @@ class ModelConfig:
             raise ValueError("vocab_size must cover the 4 specials plus content")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
 
 
 @dataclass(eq=False)
@@ -333,15 +328,14 @@ def _masked_attention(q, k, v, attn_bias, scale):
 
 
 def _forward_cached(
-    params: Parameters, ids, lengths, train_mode: bool, seed: int, coords=None, dtype=np.float64,
-    for_backward: bool = True,
+    params: Parameters, ids, lengths, coords=None, dtype=np.float64, for_backward: bool = True,
 ):
     """Forward pass keeping what the backward needs; `coords` = (rows, positions) to gather.
 
     Every activation outside the attention core is a `_TokenRows` matrix, one
     row per content token. Every activation is computed in `dtype`. The
-    attention bias and the dropout masks are built in it too, because one
-    float64 operand would promote the whole pass back to float64.
+    attention bias is built in it too, because one float64 operand would
+    promote the whole pass back to float64.
 
     Without `for_backward`, no layer's activations are kept, and when
     `coords` give every sequence the same number of masked positions (every
@@ -356,41 +350,18 @@ def _forward_cached(
     n_heads = cfg.n_heads
     scale = 1.0 / math.sqrt(cfg.d_model // n_heads)
     tokens = _TokenRows(lengths, padded)
-    rows = None  # the masked pairs' row numbers, once the top layer runs on those rows alone
     trim = (
         not for_backward
         and coords is not None
         and np.array_equal(coords[0], np.repeat(np.arange(n_batch), len(coords[0]) // n_batch))
     )
 
-    drop = cfg.dropout_rate if train_mode else 0.0
-    rng = np.random.default_rng((int(seed), _DROPOUT_STREAM)) if drop > 0.0 else None
-
-    def dropmask(width):
-        # drawn over the padded batch, so a draw does not depend on the row layout
-        if rng is None:
-            return None
-        keep = tokens.gather(rng.random((n_batch, padded, width)) >= drop)
-        if rows is not None:
-            keep = keep[rows]
-        return keep.astype(dtype) / (1.0 - drop)
-
     attn_bias = None
     if tokens.valid is not None:
         attn_bias = np.where(tokens.valid, 0.0, -np.inf).astype(dtype, copy=False)[:, None, None, :]
 
     x = tokens.embed(ids, w["embed.token"], w["embed.position"])
-    emb_mask = dropmask(cfg.d_model)
-    if emb_mask is not None:
-        x = x * emb_mask
-
-    cache = {
-        "ids": ids,
-        "tokens": tokens,
-        "emb_mask": emb_mask,
-        "weights": w,
-        "layers": [],
-    }
+    cache = {"tokens": tokens, "weights": w, "layers": []}
     for i in range(cfg.n_layers):
         pre = f"layers.{i}."
         lc: dict = {}
@@ -413,28 +384,21 @@ def _forward_cached(
             attn = _softmax(scores)
             ctx = tokens.from_heads(attn @ v)
             lc.update(q=q, k=k, v=v, attn=attn, ctx=ctx)
-        ao = tokens.affine(ctx, w[pre + "attn.wo"], w[pre + "attn.bo"])
-        lc["attn_mask"] = dropmask(cfg.d_model)
-        if lc["attn_mask"] is not None:
-            ao = ao * lc["attn_mask"]
-        x = x + ao
+        x = x + tokens.affine(ctx, w[pre + "attn.wo"], w[pre + "attn.bo"])
         h2, lc["ln2"] = _ln_forward(x, w[pre + "ln2.gain"], w[pre + "ln2.offset"])
         lc["h2"] = h2
         z1 = tokens.affine(h2, w[pre + "ffn.w1"], w[pre + "ffn.b1"])
         fz, gelu_t = _gelu(z1)
         lc.update(z1=z1, fz=fz, gelu_t=gelu_t)
-        f2 = tokens.affine(fz, w[pre + "ffn.w2"], w[pre + "ffn.b2"])
-        lc["ffn_mask"] = dropmask(cfg.d_model)
-        if lc["ffn_mask"] is not None:
-            f2 = f2 * lc["ffn_mask"]
-        x = x + f2
+        x = x + tokens.affine(fz, w[pre + "ffn.w2"], w[pre + "ffn.b2"])
         if for_backward:
             cache["layers"].append(lc)
 
-    # [n_masked, d]: only these rows reach the head; without coords, every slot does
+    # [n_masked, d]: only these rows reach the head (a trimmed top layer kept only them);
+    # without coords, every slot does
     if coords is None:
         x = tokens.scatter(x)
-    elif rows is None:
+    elif not trim:
         x = x[tokens.index(coords)]
     hf, cache["final_ln"] = _ln_forward(x, w["final_ln.gain"], w["final_ln.offset"])
     cache["hf"] = hf
@@ -449,8 +413,6 @@ def _forward_cached(
 def forward(
     params: Parameters,
     batch: list[TokenSequence],
-    train_mode: bool = False,
-    seed: int = 0,
     mask_positions=None,
 ) -> ForwardOutput:
     """Run the encoder stack on a padded batch and emit vocabulary distributions.
@@ -466,12 +428,12 @@ def forward(
     sequence's outputs do not depend on what the padding slots hold, nor, up to
     rounding in a padded batch, on its batch companions. Padding positions in a
     full per-position output hold the distribution of an all-zero encoder row.
-    Dropout is active only in train_mode and is fully determined by `seed`.
-    Weights already held as float64 are used without a copy.
+    The same parameters and batch give the same bits on every call. Weights
+    already held as float64 are used without a copy.
     """
     ids, lengths = _stack_batch(batch, params.config)
     coords = None if mask_positions is None else _masked_coords(mask_positions, lengths)
-    cache = _forward_cached(params, ids, lengths, train_mode, seed, coords, for_backward=False)
+    cache = _forward_cached(params, ids, lengths, coords, for_backward=False)
     logits = cache["logits"]
     return ForwardOutput(logits=logits, probabilities=_softmax(logits))
 
@@ -525,8 +487,6 @@ def loss_and_gradients(
     batch: list[TokenSequence],
     targets,
     mask_positions,
-    train_mode: bool = False,
-    seed: int = 0,
     dtype=np.float64,
 ):
     """Loss plus exact gradients for every parameter tensor, in one pass.
@@ -539,14 +499,13 @@ def loss_and_gradients(
     with accumulation, so a position listed twice counts twice, as it does
     in the loss. Below the head the backward runs on the content-token rows
     the forward pass kept, so every weight gradient is one [n_tokens, m].T @
-    [n_tokens, n] product. When train_mode is on, the dropout masks drawn for
-    the loss are the same ones the gradients are propagated through.
+    [n_tokens, n] product.
     """
     cfg = params.config
     ids, lengths = _stack_batch(batch, cfg)
     bs, ps = _masked_coords(mask_positions, lengths)
     tgt = _target_ids(targets, ids.shape, bs, ps)
-    cache = _forward_cached(params, ids, lengths, train_mode, seed, (bs, ps), dtype)
+    cache = _forward_cached(params, ids, lengths, (bs, ps), dtype)
     w, tokens = cache["weights"], cache["tokens"]
     loss, probs = _masked_loss(cache["logits"], tgt)
 
@@ -568,10 +527,9 @@ def loss_and_gradients(
         pre = f"layers.{i}."
         lc = cache["layers"][i]
         # feed-forward branch
-        df2 = dx if lc["ffn_mask"] is None else dx * lc["ffn_mask"]
-        g[pre + "ffn.w2"] = lc["fz"].T @ df2
-        g[pre + "ffn.b2"] = df2.sum(0)
-        dz1 = _gelu_grad(lc["z1"], lc["gelu_t"], df2 @ w[pre + "ffn.w2"].T)
+        g[pre + "ffn.w2"] = lc["fz"].T @ dx
+        g[pre + "ffn.b2"] = dx.sum(0)
+        dz1 = _gelu_grad(lc["z1"], lc["gelu_t"], dx @ w[pre + "ffn.w2"].T)
         g[pre + "ffn.w1"] = lc["h2"].T @ dz1
         g[pre + "ffn.b1"] = dz1.sum(0)
         dmid, g[pre + "ln2.gain"], g[pre + "ln2.offset"] = _ln_backward(
@@ -579,10 +537,9 @@ def loss_and_gradients(
         )
         dx += dmid
         # attention branch
-        dao = dx if lc["attn_mask"] is None else dx * lc["attn_mask"]
-        g[pre + "attn.wo"] = lc["ctx"].T @ dao
-        g[pre + "attn.bo"] = dao.sum(0)
-        dctx = tokens.to_heads(dao @ w[pre + "attn.wo"].T, cfg.n_heads)
+        g[pre + "attn.wo"] = lc["ctx"].T @ dx
+        g[pre + "attn.bo"] = dx.sum(0)
+        dctx = tokens.to_heads(dx @ w[pre + "attn.wo"].T, cfg.n_heads)
         attn, q, k, v = lc["attn"], lc["q"], lc["k"], lc["v"]
         dv = attn.transpose(0, 1, 3, 2) @ dctx
         dscores = dctx @ v.transpose(0, 1, 3, 2)  # d attn, then d scores in place
@@ -604,9 +561,8 @@ def loss_and_gradients(
         )
         dx += dattn_in
 
-    demb = dx if cache["emb_mask"] is None else dx * cache["emb_mask"]
-    g["embed.token"] = _scatter_add(tokens.gather(ids), demb, cfg.vocab_size)
-    g["embed.position"] = _scatter_add(tokens.positions(), demb, cfg.max_len)
+    g["embed.token"] = _scatter_add(tokens.gather(ids), dx, cfg.vocab_size)
+    g["embed.position"] = _scatter_add(tokens.positions(), dx, cfg.max_len)
 
     for name, grad in g.items():
         if grad.shape != params[name].shape:
@@ -617,6 +573,6 @@ def loss_and_gradients(
 
 
 def backward(params: Parameters, batch, targets, mask_positions) -> dict:
-    """Exact gradients of mlm_loss w.r.t. every parameter tensor (dropout off)."""
-    _, grads = loss_and_gradients(params, batch, targets, mask_positions, train_mode=False)
+    """Exact gradients of mlm_loss w.r.t. every parameter tensor."""
+    _, grads = loss_and_gradients(params, batch, targets, mask_positions)
     return grads

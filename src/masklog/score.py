@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCorpus, VocabMismatch
+from .errors import ConfigInvalid, EmptyCorpus, VocabMismatch
 from .masking import TOKEN_BY_TOKEN, MaskingStrategy, plan_random, plan_token_by_token
 from .model import forward
 from .train import Checkpoint, derive_seed
@@ -48,7 +48,6 @@ class ScoreReport:
     token_probs: list  # (position, probability of the true token)
     strategy: MaskingStrategy
     repeats: int = 1
-    checkpoint_hash: str = ""
 
 
 @dataclass(eq=False)
@@ -78,6 +77,11 @@ def _true_token_probs(ckpt: Checkpoint, plans) -> list:
     return [(pos, max(float(prob), PROB_FLOOR)) for pos, prob in zip(positions, probs)]
 
 
+def _check_repeats(repeats: int) -> None:
+    if repeats < 1:
+        raise ConfigInvalid(f"repeats must be >= 1, not {repeats!r}")
+
+
 def _plans(seq, strategy: MaskingStrategy, seed: int, repeats: int) -> list:
     if strategy.kind == TOKEN_BY_TOKEN:
         return plan_token_by_token(seq)
@@ -86,7 +90,7 @@ def _plans(seq, strategy: MaskingStrategy, seed: int, repeats: int) -> list:
 
 def _score_chunk(ckpt: Checkpoint, seqs, seeds, strategy: MaskingStrategy, repeats: int) -> list[ScoreReport]:
     """Reports for logs of one length, all of their masked variants in one forward."""
-    repeats = 1 if strategy.kind == TOKEN_BY_TOKEN else max(1, int(repeats))
+    repeats = 1 if strategy.kind == TOKEN_BY_TOKEN else repeats
     plans = [_plans(seq, strategy, seed, repeats) for seq, seed in zip(seqs, seeds)]
     pairs = _true_token_probs(ckpt, [p for log_plans in plans for p in log_plans])
     reports, start = [], 0
@@ -100,7 +104,6 @@ def _score_chunk(ckpt: Checkpoint, seqs, seeds, strategy: MaskingStrategy, repea
             token_probs=own,
             strategy=strategy,
             repeats=repeats,
-            checkpoint_hash=ckpt.digest(),
         ))
     return reports
 
@@ -115,12 +118,13 @@ def score_log(
 ) -> ScoreReport:
     """Score one log under the given masking strategy.
 
-    random_fraction draws `repeats` seeded plans and averages their scores;
+    random_fraction draws `repeats` (at least 1) seeded plans and averages their scores;
     token_by_token masks every content position in its own variant, so
     token_probs covers the whole log.
     """
     if vocab_hash is not None and ckpt.vocab_hash and vocab_hash != ckpt.vocab_hash:
         raise VocabMismatch("sequence vocabulary does not match the checkpoint")
+    _check_repeats(repeats)
     return _score_chunk(ckpt, [seq], [seed], strategy, repeats)[0]
 
 
@@ -135,7 +139,7 @@ def _chunks(corpus, strategy: MaskingStrategy, repeats: int) -> list[list[int]]:
         by_length.setdefault(int(seq.length), []).append(i)
     chunks = []
     for length, indices in by_length.items():
-        per_log = length if strategy.kind == TOKEN_BY_TOKEN else max(1, int(repeats))
+        per_log = length if strategy.kind == TOKEN_BY_TOKEN else repeats
         step = max(1, CHUNK_ROWS // (per_log * length))
         chunks += [indices[k : k + step] for k in range(0, len(indices), step)]
     return chunks
@@ -156,6 +160,7 @@ def score_corpus(
     elsewhere it may differ in the last bits. Threads take whole chunks, so
     any count gives the same reports.
     """
+    _check_repeats(repeats)
     corpus = list(corpus)
 
     def run(chunk: list[int]) -> list[ScoreReport]:

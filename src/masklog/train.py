@@ -33,7 +33,6 @@ from .model import (
 # Sub-seed stream codes, fanned out of the run seed.
 _STREAM_SHUFFLE = 1
 _STREAM_MASK = 2
-_STREAM_DROPOUT = 3
 
 
 def derive_seed(*parts: int) -> int:
@@ -60,6 +59,12 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if not 0.0 < self.mask_fraction <= 1.0:
             raise ValueError("mask_fraction must lie in (0, 1]")
+        if self.learning_rate <= 0.0:
+            raise ValueError(f"learning_rate must be > 0, not {self.learning_rate!r}")
+        if self.weight_decay < 0.0:
+            raise ValueError(f"weight_decay must be >= 0, not {self.weight_decay!r}")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be >= 0, not {self.warmup_steps!r}")
 
 
 @dataclass(eq=False)
@@ -231,15 +236,7 @@ def train(corpus_train, model_cfg: ModelConfig, cfg: TrainConfig, vocab_hash: st
             seqs, positions, targets = _batch_step_inputs(
                 corpus, indices, cfg.mask_fraction, (cfg.seed, _STREAM_MASK, epoch)
             )
-            loss, grads = loss_and_gradients(
-                params,
-                seqs,
-                targets,
-                positions,
-                train_mode=True,
-                seed=derive_seed(cfg.seed, _STREAM_DROPOUT, epoch, start),
-                dtype=np.float32,
-            )
+            loss, grads = loss_and_gradients(params, seqs, targets, positions, dtype=np.float32)
             if not math.isfinite(loss):
                 raise DivergenceDetected(f"non-finite loss at epoch {epoch}")
             n_masked = sum(len(p) for p in positions)

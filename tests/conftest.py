@@ -24,9 +24,7 @@ SPLIT_SEED = 11
 TRAIN_SEED = 5
 SCORE_SEED = 123
 
-TINY_CFG = ModelConfig(
-    vocab_size=20, d_model=16, n_heads=1, n_layers=1, d_ff=24, max_len=8, dropout_rate=0.0
-)
+TINY_CFG = ModelConfig(vocab_size=20, d_model=16, n_heads=1, n_layers=1, d_ff=24, max_len=8)
 
 
 def make_seq(length: int, width: int = 8, lo: int = 4, hi: int = 20, rng=None) -> TokenSequence:

@@ -73,8 +73,7 @@ def grid_rows(path):
 
 def test_criterion_01_gradient_oracle():
     t0 = time.time()
-    cfg = ModelConfig(vocab_size=20, d_model=16, n_heads=1, n_layers=1, d_ff=24, max_len=8,
-                      dropout_rate=0.0)
+    cfg = ModelConfig(vocab_size=20, d_model=16, n_heads=1, n_layers=1, d_ff=24, max_len=8)
     params = init_params(cfg, seed=3)
     rng = np.random.default_rng(0)
     batch = []
@@ -121,8 +120,7 @@ def test_criterion_01_gradient_oracle():
 
 
 def test_criterion_02_softmax_and_loss_identities():
-    cfg = ModelConfig(vocab_size=33, d_model=16, n_heads=2, n_layers=1, d_ff=24, max_len=8,
-                      dropout_rate=0.0)
+    cfg = ModelConfig(vocab_size=33, d_model=16, n_heads=2, n_layers=1, d_ff=24, max_len=8)
     params = init_params(cfg, seed=1)
     rng = np.random.default_rng(5)
     batch = []

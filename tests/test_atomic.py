@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from masklog.atomic import atomic_open
+from masklog.atomic import atomic_open, write_json
 from masklog.checkpoint import save_container
-from masklog.cli import _dump_json, write_table
+from masklog.cli import write_table
 from masklog.corpus import write_lines
 from masklog.manifest import write_manifest
 
@@ -25,7 +25,7 @@ class _Unserializable:
 WRITERS = {
     "write_lines": lambda p: write_lines(p, (f"line {r[1]}" for r in _failing_rows())),
     "write_table": lambda p: write_table(p, ["name", "n"], _failing_rows(), {"k": "v"}),
-    "_dump_json": lambda p: _dump_json(p, {"a": [1, 2, 3], "z": _Unserializable()}),
+    "write_json": lambda p: write_json(p, {"a": [1, 2, 3], "z": _Unserializable()}),
     "save_container": lambda p: save_container(
         p, {"k": "v"}, {"a": np.ones(3, np.float32), "b": np.array(["not a number"])}
     ),

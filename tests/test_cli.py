@@ -24,7 +24,7 @@ from masklog.corpus import load_labeled, load_lines
 from masklog.masking import MaskingStrategy
 from masklog.normalize import CleanLog
 from masklog.score import _STREAM_SCORE, score_log
-from masklog.train import derive_seed, load_checkpoint
+from masklog.train import derive_seed, load_checkpoint, save_checkpoint
 from masklog.vocab import encode, load_vocab
 
 from conftest import run_cli
@@ -575,6 +575,18 @@ BAD_INPUTS = {
         "--out", t / "h.tsv"]),
     "build-vocab-max-vocab-4": ("ConfigInvalid", lambda r, t: [
         "build-vocab", "--in", r["train"], "--out", t / "v.txt", "--max-vocab", 4]),
+    "score-repeats-0": ("ConfigInvalid", lambda r, t: [
+        "score", "--in", r["val"], "--vocab", r["vocab"], "--checkpoint", r["ckpt"], "--out", t / "s.tsv",
+        "--repeats", 0]),
+    "ablate-masking-repeats-0": ("ConfigInvalid", lambda r, t: [
+        "ablate-masking", "--checkpoint", r["ckpt"], "--vocab", r["vocab"], "--val", r["val"], "--test", r["test"],
+        "--out", t / "grid.tsv", "--repeats", 0]),
+    "train-learning-rate-negative": ("ConfigInvalid", lambda r, t: [
+        "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt", "--learning-rate", -0.003]),
+    "train-weight-decay-negative": ("ConfigInvalid", lambda r, t: [
+        "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt", "--weight-decay", -1.0]),
+    "train-warmup-steps-negative": ("ConfigInvalid", lambda r, t: [
+        "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt", "--warmup-steps", -5]),
 }
 
 
@@ -594,7 +606,7 @@ OPTION_SURFACE = {
     "clean": "in labels labels-out out report",
     "build-vocab": "in max-vocab min-freq out",
     "split": "in labels out-dir seed",
-    "train": "batch-size d-ff d-model dropout epochs grad-clip in learning-rate log mask-fraction max-len "
+    "train": "batch-size d-ff d-model epochs grad-clip in learning-rate log mask-fraction max-len "
              "n-heads n-layers out seed vocab warmup-steps weight-decay",
     "score": "checkpoint in labeled mask-strategy out repeats seed threads vocab",
     "calibrate": "out percentile scores",
@@ -615,7 +627,7 @@ def test_option_surface_lists_every_settable_value():
         for name, sub in commands.choices.items()
     }
     assert found == {name: sorted(flags.split()) for name, flags in OPTION_SURFACE.items()}
-    assert sum(len(flags) for name, flags in found.items() if name != "rerun") == 79
+    assert sum(len(flags) for name, flags in found.items() if name != "rerun") == 78
 
 
 @pytest.mark.parametrize("command, old_options, key", [
@@ -632,6 +644,36 @@ def test_rerun_refuses_a_manifest_with_a_deleted_option(small_run, tmp_path, cap
     assert main(["rerun", "--manifest", str(old)]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigInvalid" and repr(key) in err["message"]
+
+
+def test_train_refuses_the_deleted_dropout_option(small_run, tmp_path, capsys):
+    config = _write(tmp_path / "c.json", '{"dropout": 0.1}')
+    doc = load_manifest(manifest_path_for(small_run["ckpt"]))
+    doc["options"]["dropout"] = 0.0
+    old = _write(tmp_path / "old.manifest.json", json.dumps(doc))
+    for argv in (["train", "--config", config, "--in", small_run["train"], "--vocab", small_run["vocab"],
+                  "--out", tmp_path / "m.ckpt"], ["rerun", "--manifest", old]):
+        assert main([str(a) for a in argv]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalid" and "'dropout'" in err["message"]
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_a_checkpoint_with_a_dropout_rate_header_loads_and_scores_the_same(small_run, tmp_path):
+    """A checkpoint written while the model had a dropout rate (always 0.0) differs only by that header line."""
+    header, tensors = load_container(small_run["ckpt"])
+    assert "model.dropout_rate" not in header
+    old_path = tmp_path / "old.ckpt"
+    save_container(old_path, {**header, "model.dropout_rate": "0.0"}, tensors)
+    ckpt, old = load_checkpoint(small_run["ckpt"]), load_checkpoint(old_path)
+    assert old.digest() == ckpt.digest()
+    save_checkpoint(old, tmp_path / "resaved.ckpt")
+    assert file_digest(tmp_path / "resaved.ckpt") == file_digest(small_run["ckpt"])
+    vocab = load_vocab(small_run["vocab"])
+    for i, text in enumerate(load_lines(small_run["val"])[:20]):
+        seq = encode(CleanLog(text=text, raw_ref=("val.txt", i)), vocab, ckpt.model_config.max_len)
+        want, got = (score_log(c, seq, MaskingStrategy(), seed=i) for c in (ckpt, old))
+        assert (got.score, got.token_probs) == (want.score, want.token_probs)
 
 
 _ERROR_NAMES = {n for n, c in vars(errors).items() if isinstance(c, type) and issubclass(c, errors.MasklogError)}

@@ -1,68 +1,51 @@
 import numpy as np
 import pytest
 
-from masklog.calibrate import Threshold, select_threshold
+from masklog.calibrate import select_threshold
 from masklog.corpus import LABEL_ANOMALOUS, LABEL_NORMAL
 from masklog.detect import (
     assert_no_leakage,
-    classify,
     confusion_counts,
     metrics,
     metrics_from_counts,
     percentile_grid,
+    verdict_label,
 )
-from masklog.errors import CheckpointMismatch, LeakageDetected, LengthMismatch, NoAnomaliesInTruth
+from masklog.errors import LeakageDetected, LengthMismatch, NoAnomaliesInTruth
 from masklog.masking import MaskingStrategy
 from masklog.score import ScoreReport
 
 
-def make_report(score, ckpt_hash=""):
+def make_report(score):
     return ScoreReport(
         raw_ref=("x", 0),
         score=score,
         masked_count=1,
         token_probs=[(0, float(np.exp(-score)))],
         strategy=MaskingStrategy(),
-        checkpoint_hash=ckpt_hash,
     )
 
 
-def make_threshold(value, ckpt_hash=""):
-    return Threshold(value=value, percentile=90, n_calibration=10, checkpoint_hash=ckpt_hash)
-
-
 class TestClassify:
+    """`verdict_label`, the one classification rule: strictly above the threshold is anomalous."""
+
     def test_above_threshold_is_anomalous(self):
-        v = classify(make_report(1.2), make_threshold(1.0))
-        assert v.label == LABEL_ANOMALOUS
+        assert verdict_label(1.2, 1.0) == LABEL_ANOMALOUS
 
     def test_exactly_at_threshold_is_normal(self):
-        v = classify(make_report(1.0), make_threshold(1.0))
-        assert v.label == LABEL_NORMAL
-
-    def test_checkpoint_hash_mismatch(self):
-        with pytest.raises(CheckpointMismatch):
-            classify(make_report(2.0, "aaa"), make_threshold(1.0, "bbb"))
-
-    def test_matching_hashes_accepted(self):
-        v = classify(make_report(2.0, "same"), make_threshold(1.0, "same"))
-        assert v.label == LABEL_ANOMALOUS
+        assert verdict_label(1.0, 1.0) == LABEL_NORMAL
 
     def test_verdict_vector_matches_brute_force(self):
         rng = np.random.default_rng(0)
         scores = rng.normal(1, 0.5, 100)
-        t = make_threshold(1.3)
-        verdicts = [classify(make_report(float(s)), t).label for s in scores]
+        verdicts = [verdict_label(float(s), 1.3) for s in scores]
         brute = [LABEL_ANOMALOUS if s > 1.3 else LABEL_NORMAL for s in scores]
         assert verdicts == brute
 
     def test_raising_threshold_never_adds_positives(self):
         rng = np.random.default_rng(1)
         scores = [float(s) for s in rng.normal(1, 0.5, 200)]
-        counts = []
-        for tv in (0.5, 1.0, 1.5, 2.0):
-            t = make_threshold(tv)
-            counts.append(sum(classify(make_report(s), t).label == LABEL_ANOMALOUS for s in scores))
+        counts = [sum(verdict_label(s, tv) == LABEL_ANOMALOUS for s in scores) for tv in (0.5, 1.0, 1.5, 2.0)]
         assert counts == sorted(counts, reverse=True)
 
 

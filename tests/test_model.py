@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -80,7 +79,7 @@ class TestInit:
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=2)
         with pytest.raises(ValueError):
-            ModelConfig(vocab_size=20, dropout_rate=1.0)
+            ModelConfig(vocab_size=20, d_model=0)
 
 
 class TestForward:
@@ -95,8 +94,8 @@ class TestForward:
     def test_inference_deterministic(self, tiny_cfg, tiny_batch):
         batch, _, _ = tiny_batch
         params = init_params(tiny_cfg, 3)
-        a = forward(params, batch, train_mode=False)
-        b = forward(params, batch, train_mode=False)
+        a = forward(params, batch)
+        b = forward(params, batch)
         assert a.logits.tobytes() == b.logits.tobytes()
 
     def test_pad_isolation(self, tiny_cfg):
@@ -116,17 +115,6 @@ class TestForward:
         assert out.logits[0].tobytes() == swapped.logits[1].tobytes()
         assert out.logits[1].tobytes() == swapped.logits[0].tobytes()
         assert out.logits[2].tobytes() == swapped.logits[2].tobytes()
-
-    def test_dropout_seeded_replay(self, tiny_batch):
-        cfg = ModelConfig(vocab_size=20, d_model=16, n_heads=1, n_layers=1, d_ff=24, max_len=8,
-                          dropout_rate=0.2)
-        batch, _, _ = tiny_batch
-        params = init_params(cfg, 3)
-        a = forward(params, batch, train_mode=True, seed=11)
-        b = forward(params, batch, train_mode=True, seed=11)
-        c = forward(params, batch, train_mode=True, seed=12)
-        assert a.logits.tobytes() == b.logits.tobytes()
-        assert a.logits.tobytes() != c.logits.tobytes()
 
     def test_rejects_overlong_batch(self, tiny_cfg):
         params = init_params(tiny_cfg, 0)
@@ -151,8 +139,7 @@ class TestForward:
 class TestHandComputedForward:
     def test_single_head_two_tokens_matches_manual_computation(self):
         """Step-by-step recomputation with plain numpy expressions as the oracle."""
-        cfg = ModelConfig(vocab_size=6, d_model=4, n_heads=1, n_layers=1, d_ff=4, max_len=2,
-                          dropout_rate=0.0)
+        cfg = ModelConfig(vocab_size=6, d_model=4, n_heads=1, n_layers=1, d_ff=4, max_len=2)
         params = init_params(cfg, 0)
         rng = np.random.default_rng(42)
         for name in params.tensors:  # small but nontrivial weights everywhere
@@ -270,33 +257,6 @@ class TestBackward:
         grads = backward(init_params(tiny_cfg, 3), batch, targets, positions)
         assert np.all(grads["embed.token"][unused] == 0.0)
 
-    def test_gradcheck_with_dropout_replay(self, tiny_batch):
-        cfg = ModelConfig(vocab_size=20, d_model=16, n_heads=1, n_layers=1, d_ff=24, max_len=8,
-                          dropout_rate=0.25)
-        batch, targets, positions = tiny_batch
-        params = init_params(cfg, 3)
-        seed = 77
-        loss, grads = loss_and_gradients(params, batch, targets, positions, train_mode=True, seed=seed)
-        rng = np.random.default_rng(2)
-        checked = 0
-        for name in ("layers.0.attn.wq", "layers.0.ffn.w1", "out.w", "embed.token"):
-            flat = params.tensors[name].reshape(-1)
-            for idx in rng.integers(0, flat.size, size=2):
-                idx = int(idx)
-                orig = flat[idx]
-                hi, lo = np.float32(orig + 1e-3), np.float32(orig - 1e-3)
-                flat[idx] = hi
-                l_hi, _ = loss_and_gradients(params, batch, targets, positions, train_mode=True, seed=seed)
-                flat[idx] = lo
-                l_lo, _ = loss_and_gradients(params, batch, targets, positions, train_mode=True, seed=seed)
-                flat[idx] = orig
-                fd = (l_hi - l_lo) / (float(hi) - float(lo))
-                a = grads[name].reshape(-1)[idx]
-                checked += 1
-                if abs(a - fd) >= 1e-6:
-                    assert abs(a - fd) / max(abs(a), abs(fd)) < 1e-4, name
-        assert checked == 8
-
 
 REPEATED_POSITIONS = [[0, 2, 2], [1, 4, 7], [2]]  # row 0 lists position 2 twice
 
@@ -305,18 +265,15 @@ class TestGatheredHead:
     """loss_and_gradients runs the final LN, head and softmax on masked rows only;
     the full per-position forward followed by mlm_loss is the reference."""
 
-    @pytest.mark.parametrize("dropout_rate", [0.0, 0.25])
     @pytest.mark.parametrize("repeated", [False, True])
-    def test_loss_matches_full_forward(self, tiny_batch, dropout_rate, repeated):
+    def test_loss_matches_full_forward(self, tiny_batch, repeated):
         batch, targets, positions = tiny_batch
         positions = REPEATED_POSITIONS if repeated else positions
-        cfg = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=2, d_ff=24, max_len=8,
-                          dropout_rate=dropout_rate)
+        cfg = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=2, d_ff=24, max_len=8)
         params = init_params(cfg, 4)
-        for train_mode, seed in ((False, 0), (True, 31)):
-            loss, _ = loss_and_gradients(params, batch, targets, positions, train_mode=train_mode, seed=seed)
-            full = mlm_loss(forward(params, batch, train_mode=train_mode, seed=seed), targets, positions)
-            assert abs(loss - full) <= 1e-12
+        loss, _ = loss_and_gradients(params, batch, targets, positions)
+        full = mlm_loss(forward(params, batch), targets, positions)
+        assert abs(loss - full) <= 1e-12
 
     def test_repeated_position_gradients_match_finite_differences(self, tiny_cfg, tiny_batch):
         batch, targets, _ = tiny_batch
@@ -358,13 +315,12 @@ class TestFloat32Path:
 
     def test_no_silent_promotion(self, tiny_batch, monkeypatch):
         batch, targets, positions = tiny_batch  # ragged: lengths 5, 8 and 3
-        params = init_params(ModelConfig(**self.CFG, dropout_rate=0.25), 4)
+        params = init_params(ModelConfig(**self.CFG), 4)
         ids, lengths = _stack_batch(batch, params.config)
-        cache = _forward_cached(params, ids, lengths, True, 9, _masked_coords(positions, lengths),
-                                np.float32)
+        cache = _forward_cached(params, ids, lengths, _masked_coords(positions, lengths), np.float32)
         assert cache["tokens"].valid is not None  # run unpadded, not as a [B, L] grid
         arrays = dict(_float_arrays(cache))
-        assert "cache.logits" in arrays and "cache.layers[1].ffn_mask" in arrays
+        assert "cache.logits" in arrays
         assert {p: a.dtype for p, a in arrays.items() if a.dtype != np.float32} == {}
 
         produced = []  # (helper, every float array it returned) during one training step
@@ -382,8 +338,7 @@ class TestFloat32Path:
             monkeypatch.setattr(_TokenRows, name, spy(getattr(_TokenRows, name)))
         for name in ("_scatter_add", "_gelu_grad", "_ln_backward"):
             monkeypatch.setattr(model, name, spy(getattr(model, name)))
-        loss, grads = loss_and_gradients(params, batch, targets, positions, train_mode=True, seed=9,
-                                         dtype=np.float32)
+        loss, grads = loss_and_gradients(params, batch, targets, positions, dtype=np.float32)
         assert isinstance(loss, float)
         assert {n: g.dtype for n, g in grads.items() if g.dtype != np.float32} == {}
         assert {n for n, _ in produced} == {
@@ -392,24 +347,21 @@ class TestFloat32Path:
         }
         assert [(n, dt) for n, dt in produced if dt != np.float32] == []
 
-    @pytest.mark.parametrize("dropout_rate", [0.0, 0.25])
-    def test_matches_float64(self, tiny_batch, dropout_rate):
+    def test_matches_float64(self, tiny_batch):
         batch, targets, positions = tiny_batch
-        params = init_params(ModelConfig(**self.CFG, dropout_rate=dropout_rate), 4)
-        for train_mode, seed in ((False, 0), (True, 31)):
-            l64, g64 = loss_and_gradients(params, batch, targets, positions, train_mode, seed)
-            l32, g32 = loss_and_gradients(params, batch, targets, positions, train_mode, seed,
-                                          dtype=np.float32)
-            assert abs(l32 - l64) <= 1e-6 * abs(l64)
-            total = math.sqrt(sum(float((g * g).sum()) for g in g64.values()))
-            for name, g in g64.items():
-                # attn.bk is analytically zero, so each tensor's norm is floored by the total's
-                bound = 1e-4 * max(float(np.linalg.norm(g)), 1e-3 * total)
-                assert float(np.linalg.norm(g32[name] - g)) <= bound, name
+        params = init_params(ModelConfig(**self.CFG), 4)
+        l64, g64 = loss_and_gradients(params, batch, targets, positions)
+        l32, g32 = loss_and_gradients(params, batch, targets, positions, dtype=np.float32)
+        assert abs(l32 - l64) <= 1e-6 * abs(l64)
+        total = math.sqrt(sum(float((g * g).sum()) for g in g64.values()))
+        for name, g in g64.items():
+            # attn.bk is analytically zero, so each tensor's norm is floored by the total's
+            bound = 1e-4 * max(float(np.linalg.norm(g)), 1e-3 * total)
+            assert float(np.linalg.norm(g32[name] - g)) <= bound, name
 
     def test_training_is_reproducible(self):
         seqs = [make_seq(n, rng=np.random.default_rng(n)) for n in (3, 5, 6, 8, 4, 7, 8, 2)]
-        cfg = ModelConfig(**self.CFG, dropout_rate=0.1)
+        cfg = ModelConfig(**self.CFG)
         tcfg = TrainConfig(epochs=3, batch_size=3, seed=5)
         a, b = train(seqs, cfg, tcfg), train(seqs, cfg, tcfg)
         assert a.digest() == b.digest()
@@ -418,8 +370,8 @@ class TestFloat32Path:
 
 
 class TestUnpaddedBatch:
-    """A padded batch runs on its content rows only: float64, dropout off, the
-    same sequences one at a time are the reference."""
+    """A padded batch runs on its content rows only: in float64, the same
+    sequences one at a time are the reference."""
 
     CFG = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=2, d_ff=24, max_len=8)
     POSITIONS = [[0, 2], [1, 4, 6, 7], [3]]
@@ -444,18 +396,17 @@ class TestUnpaddedBatch:
         for name in ref:
             assert np.abs(grads[name] - ref[name]).max() <= 1e-12, name
 
-    @pytest.mark.parametrize("dropout_rate", [0.0, 0.25])
-    def test_padding_slot_ids_change_nothing(self, dropout_rate):
+    def test_padding_slot_ids_change_nothing(self):
         batch, targets = self._ragged()
-        params = init_params(dataclasses.replace(self.CFG, dropout_rate=dropout_rate), 6)
+        params = init_params(self.CFG, 6)
         rng = np.random.default_rng(8)
         noisy = []
         for seq in batch:
             ids = seq.ids.copy()
             ids[seq.length:] = rng.integers(0, 20, size=len(ids) - seq.length)
             noisy.append(TokenSequence(ids=ids, length=seq.length))
-        loss, grads = loss_and_gradients(params, batch, targets, self.POSITIONS, True, 3)
-        loss_n, grads_n = loss_and_gradients(params, noisy, targets, self.POSITIONS, True, 3)
+        loss, grads = loss_and_gradients(params, batch, targets, self.POSITIONS)
+        loss_n, grads_n = loss_and_gradients(params, noisy, targets, self.POSITIONS)
         assert loss == loss_n
         for name in grads:
             assert grads[name].tobytes() == grads_n[name].tobytes(), name
@@ -518,8 +469,7 @@ class TestLossDecreases:
                 ids = np.full(8, PAD_ID, dtype=np.int64)
                 ids[: len(pat)] = pat
                 seqs.append(TokenSequence(ids=ids, length=len(pat)))
-        cfg = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=1, d_ff=24, max_len=8,
-                          dropout_rate=0.0)
+        cfg = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=1, d_ff=24, max_len=8)
         ckpt = train(seqs, cfg, TrainConfig(epochs=50, batch_size=32, seed=6))
         assert len(ckpt.history) == 50
         assert ckpt.history[-1] <= 0.8 * ckpt.history[0]
@@ -532,9 +482,8 @@ class TestTrimmedTopLayer:
 
     CFG = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=2, d_ff=24, max_len=8)
 
-    @pytest.mark.parametrize("dropout_rate", [0.0, 0.25])
     @pytest.mark.parametrize("layout", ["same-length", "ragged", "ragged-two-each", "repeated"])
-    def test_matches_full_forward_at_masked_cells(self, tiny_batch, dropout_rate, layout):
+    def test_matches_full_forward_at_masked_cells(self, tiny_batch, layout):
         batch, _, positions = tiny_batch  # lengths 5, 8 and 3; 2, 3 and 1 masked positions
         if layout == "same-length":
             rng = np.random.default_rng(3)
@@ -544,14 +493,13 @@ class TestTrimmedTopLayer:
             positions = [[0, 2], [1, 7], [2, 0]]
         elif layout == "repeated":
             positions = REPEATED_POSITIONS
-        params = init_params(dataclasses.replace(self.CFG, dropout_rate=dropout_rate), 7)
+        params = init_params(self.CFG, 7)
         bs, ps = (np.array(a) for a in zip(*[(b, p) for b, pos in enumerate(positions) for p in pos]))
-        for train_mode, seed in ((False, 0), (True, 13)):
-            trimmed = forward(params, batch, train_mode, seed, mask_positions=positions)
-            full = forward(params, batch, train_mode, seed)
-            assert trimmed.logits.shape == (len(bs), self.CFG.vocab_size)
-            assert np.abs(trimmed.logits - full.logits[bs, ps]).max() <= 1e-12
-            assert np.abs(trimmed.probabilities - full.probabilities[bs, ps]).max() <= 1e-12
+        trimmed = forward(params, batch, mask_positions=positions)
+        full = forward(params, batch)
+        assert trimmed.logits.shape == (len(bs), self.CFG.vocab_size)
+        assert np.abs(trimmed.logits - full.logits[bs, ps]).max() <= 1e-12
+        assert np.abs(trimmed.probabilities - full.probabilities[bs, ps]).max() <= 1e-12
 
     @pytest.mark.parametrize("positions, trimmed", [
         ([[0, 2], [1, 7], [2, 0]], True),  # two each, sequence-major
@@ -568,8 +516,8 @@ class TestTrimmedTopLayer:
         params = init_params(self.CFG, 7)
         ids, lengths = _stack_batch(batch, self.CFG)
         coords = _masked_coords(positions, lengths)
-        plain = _forward_cached(params, ids, lengths, False, 0, coords)
-        trimmed = _forward_cached(params, ids, lengths, False, 0, coords, for_backward=False)
+        plain = _forward_cached(params, ids, lengths, coords)
+        trimmed = _forward_cached(params, ids, lengths, coords, for_backward=False)
         assert len(plain["layers"]) == self.CFG.n_layers and trimmed["layers"] == []
         assert all(len(lc["h2"]) == int(lengths.sum()) and "attn" in lc for lc in plain["layers"])
         assert np.abs(trimmed["logits"] - plain["logits"]).max() <= 1e-12

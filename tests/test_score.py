@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from masklog import score as score_mod
+from masklog.errors import ConfigInvalid
 from masklog.masking import TOKEN_BY_TOKEN, MaskingStrategy, plan_random, plan_token_by_token
 from masklog.model import ModelConfig, forward, init_params
 from masklog.score import (
@@ -76,6 +77,15 @@ class TestScoreLog:
         assert r.masked_count == 4 * k
         assert r.repeats == 4
         assert r.score == pytest.approx(recompute_score(r.token_probs), abs=1e-9)
+
+    @pytest.mark.parametrize("repeats", [0, -4])
+    def test_repeats_below_one_are_refused(self, toy_model, repeats):
+        ckpt, seqs = toy_model["checkpoint"], toy_model["seqs"][:3]
+        for strategy in (RANDOM15, TOKEN):
+            with pytest.raises(ConfigInvalid, match="repeats"):
+                score_log(ckpt, seqs[0], strategy, repeats=repeats)
+            with pytest.raises(ConfigInvalid, match="repeats"):
+                score_corpus(ckpt, seqs, strategy, repeats=repeats)
 
     @pytest.mark.parametrize("strategy", [RANDOM15, TOKEN], ids=["random", "token"])
     def test_gathered_probs_match_full_forward(self, toy_model, strategy):

@@ -25,8 +25,7 @@ def pattern_seqs(n_copies=8, width=8):
 
 train_mod = importlib.import_module("masklog.train")  # the package exports the function `train`
 
-SMALL_CFG = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=1, d_ff=24, max_len=8,
-                        dropout_rate=0.0)
+SMALL_CFG = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=1, d_ff=24, max_len=8)
 
 
 class TestTrain:
@@ -78,6 +77,11 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(mask_fraction=0.0)
+        for bad in ({"learning_rate": 0.0}, {"learning_rate": -3e-3}, {"weight_decay": -1.0},
+                    {"warmup_steps": -5}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                TrainConfig(**bad)
+        TrainConfig(weight_decay=0.0, warmup_steps=0)  # the boundaries themselves are allowed
 
 
 class _ReferenceAdamW:
