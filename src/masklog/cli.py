@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import struct
 import sys
@@ -47,7 +48,7 @@ from .errors import (
     VocabMismatch,
 )
 from .manifest import digest_map, file_digest, load_manifest, verify_inputs, write_manifest
-from .masking import MaskingStrategy
+from .masking import TOKEN_BY_TOKEN, MaskingStrategy
 from .model import ModelConfig
 from .normalize import CleanLog, clean_lines
 from .score import heatmap as compute_heatmap
@@ -284,19 +285,20 @@ def run_split(opts):
 
 def run_train(opts):
     _require(opts, "in_", "vocab", "out")
-    vocab = load_vocab(opts["vocab"])
-    dims = {k: opts[k] for k in ("d_model", "n_heads", "n_layers", "d_ff", "max_len")}
-    model_cfg = ModelConfig(vocab_size=len(vocab), **dims)
     train_cfg = TrainConfig(
         epochs=opts["epochs"],
         batch_size=opts["batch_size"],
         mask_fraction=opts["mask_fraction"],
         learning_rate=opts["learning_rate"],
         weight_decay=opts["weight_decay"],
-        grad_clip=None if opts["grad_clip"] <= 0 else opts["grad_clip"],
+        # 0 or below turns clipping off; NaN and -inf go on to be refused
+        grad_clip=None if opts["grad_clip"] <= 0 and math.isfinite(opts["grad_clip"]) else opts["grad_clip"],
         warmup_steps=opts["warmup_steps"],
         seed=opts["seed"],
     )
+    vocab = load_vocab(opts["vocab"])
+    dims = {k: opts[k] for k in ("d_model", "n_heads", "n_layers", "d_ff", "max_len")}
+    model_cfg = ModelConfig(vocab_size=len(vocab), **dims)
     _, seqs, _ = _load_clean_seqs(opts["in_"], vocab, opts["max_len"])
     ckpt = train(seqs, model_cfg, train_cfg, vocab_hash=vocab.digest())
     save_checkpoint(ckpt, opts["out"])
@@ -333,8 +335,11 @@ def _checkpoint_and_vocab(opts):
 
 def run_score(opts):
     _require(opts, "in_", "out")
-    ckpt, vocab = _checkpoint_and_vocab(opts)
     strategy = MaskingStrategy.parse(opts["mask_strategy"])
+    if strategy.kind == TOKEN_BY_TOKEN and opts["repeats"] != 1:
+        raise ConfigInvalid(f"repeats must be 1 with mask strategy token, which masks each position once, "
+                            f"not {opts['repeats']!r}")
+    ckpt, vocab = _checkpoint_and_vocab(opts)
     _, seqs, _ = _load_clean_seqs(
         opts["in_"], vocab, ckpt.model_config.max_len, labeled=opts.get("labeled", False)
     )
@@ -346,7 +351,7 @@ def run_score(opts):
         "vocab": vocab.digest(),
         "input": file_digest(opts["in_"]),  # sha256 of the scored file, checked by eval
         "strategy": strategy.describe(),
-        "repeats": reports[0].repeats if reports else 1,
+        "repeats": opts["repeats"],
         "seed": opts["seed"],
     }
     rows = [(*r.raw_ref, r.score, r.masked_count, r.strategy.describe()) for r in reports]

@@ -206,6 +206,8 @@ def synthesize(n_templates: int, n_normal: int, n_anomalies: int, seed: int) -> 
     """Deterministic labeled corpus of raw log lines for desk-scale runs."""
     if n_templates < 2:
         raise ValueError("need at least 2 templates")
+    if n_normal < 0 or n_anomalies < 0:
+        raise ValueError(f"line counts must be >= 0, not normal={n_normal!r} anomalies={n_anomalies!r}")
     rng = np.random.default_rng(seed)
     templates = [_Template(rng, _WORD_POOL) for _ in range(n_templates)]
 

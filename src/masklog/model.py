@@ -13,11 +13,22 @@ The loss and the anomaly score read the head's distribution only at masked
 positions. When a caller passes those positions, the encoder output is
 gathered to the masked (row, position) pairs before the final layer norm, so
 the final LN, the |V|-wide head and the softmax run on n_masked rows only.
-`forward`, which no backward follows, goes further when every sequence has the
-same number of masked positions (every scoring chunk): the top layer computes
-K and V for every row, and Q, the attention core, the output projection, LN2
-and the FFN only for the masked rows. Without masked positions, full
-per-position distributions are formed.
+Without masked positions, full per-position distributions are formed.
+
+Training and scoring run separate forward passes. `_forward_cached`, the
+training forward, keeps every layer's activations for `loss_and_gradients`.
+`_forward_scores`, behind `forward`, keeps none and saves work three ways
+that leave every row's bits as they are:
+- When every sequence has the same number of masked positions (every
+  scoring chunk), the top layer computes K and V for every row, and Q, the
+  attention core, the output projection, LN2 and the FFN only for the
+  masked rows.
+- In a padding-free batch of two or more sequences, layer 0's embedding
+  sum, LN1 and Q/K/V run once per distinct (token id, position) pair and
+  are indexed back to the rows. A batch of one never repeats a pair and
+  skips the unique step.
+- Layer norms and GELU run in place, in the training forward's operation
+  order.
 
 Below the head, a batch is unpadded (`_TokenRows`): its content tokens are
 gathered once into an [n_tokens, d] matrix, and the embedding sum, both
@@ -35,7 +46,9 @@ least two rows (`_TokenRows.affine`). Where a row's bits in such a product do
 not depend on how many rows it has, a log scores the same alone as in a batch
 of logs. OpenBLAS 0.3.31 on a SkylakeX core meets this when the output width
 is a multiple of 8 and the inner width is at most 384 (the scoring copy pads
-the head to such a width); d_model and d_ff are not padded.
+the head to such a width); d_model and d_ff are not padded. At widths outside
+that rule, batching can move a row's last bits, and so can the layer-0 share,
+which changes the row count of the Q/K/V products.
 """
 
 from __future__ import annotations
@@ -241,6 +254,42 @@ def _ln_backward(dy, gain, cache):
     return dxh, dgain, doffset
 
 
+def _ln_scores(x, gain, offset):
+    """`_ln_forward`'s output, to the bit, in two buffers and with no cache.
+
+    The same operations run in the same order (x - mean, the mean of its
+    squares, 1 / sqrt(var + eps), then the scale and the affine map), each
+    written in place where `_ln_forward` makes a fresh temporary.
+    """
+    y = np.subtract(x, x.mean(-1, keepdims=True))
+    inv = np.multiply(y, y).mean(-1, keepdims=True)
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    y *= inv
+    y *= gain
+    y += offset
+    return y
+
+
+def _gelu_scores(x):
+    """`_gelu`'s output, to the bit, written into `x`: one scratch buffer and no tanh kept.
+
+    ((a x) x) x, + x, * c and tanh run in that order in the scratch buffer,
+    then 0.5 x (1 + t) in `x`.
+    """
+    t = np.multiply(x, _GELU_A)
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    x *= 0.5
+    x *= t
+    return x
+
+
 def _softmax(z):
     """Softmax over the last axis, in one new array."""
     e = z - z.max(-1, keepdims=True)
@@ -327,34 +376,19 @@ def _masked_attention(q, k, v, attn_bias, scale):
     return ctx.transpose(0, 2, 1, 3).reshape(n_batch * q.shape[2], -1)
 
 
-def _forward_cached(
-    params: Parameters, ids, lengths, coords=None, dtype=np.float64, for_backward: bool = True,
-):
-    """Forward pass keeping what the backward needs; `coords` = (rows, positions) to gather.
+def _forward_cached(params: Parameters, ids, lengths, coords, dtype=np.float64):
+    """Training forward: keeps what the backward needs; `coords` = (rows, positions) to gather.
 
     Every activation outside the attention core is a `_TokenRows` matrix, one
-    row per content token. Every activation is computed in `dtype`. The
-    attention bias is built in it too, because one float64 operand would
-    promote the whole pass back to float64.
-
-    Without `for_backward`, no layer's activations are kept, and when
-    `coords` give every sequence the same number of masked positions (every
-    scoring chunk) the top layer runs on the masked rows alone past its K/V
-    projections.
-    An `out.w` wider than the vocabulary (zero columns padding the scoring
-    copy) gives logits whose extra columns are dropped.
+    row per content token, and every layer runs on all of them. Every
+    activation is computed in `dtype`. The attention bias is built in it too,
+    because one float64 operand would promote the whole pass back to float64.
     """
     cfg = params.config
     w = {k: v.astype(dtype, copy=False) for k, v in params.items()}
-    n_batch, padded = ids.shape
     n_heads = cfg.n_heads
     scale = 1.0 / math.sqrt(cfg.d_model // n_heads)
-    tokens = _TokenRows(lengths, padded)
-    trim = (
-        not for_backward
-        and coords is not None
-        and np.array_equal(coords[0], np.repeat(np.arange(n_batch), len(coords[0]) // n_batch))
-    )
+    tokens = _TokenRows(lengths, ids.shape[1])
 
     attn_bias = None
     if tokens.valid is not None:
@@ -366,48 +400,106 @@ def _forward_cached(
         pre = f"layers.{i}."
         lc: dict = {}
         h, lc["ln1"] = _ln_forward(x, w[pre + "ln1.gain"], w[pre + "ln1.offset"])
-        lc["h"] = h
-        k, v = (
+        q, k, v = (
             tokens.to_heads(tokens.affine(h, w[pre + "attn.w" + c], w[pre + "attn.b" + c]), n_heads)
-            for c in "kv"
+            for c in "qkv"
         )
-        if trim and i == cfg.n_layers - 1:
-            rows = tokens.index(coords)
-            x = x[rows]
-            q = tokens.affine(h[rows], w[pre + "attn.wq"], w[pre + "attn.bq"])
-            ctx = _masked_attention(q, k, v, attn_bias, scale)
-        else:
-            q = tokens.to_heads(tokens.affine(h, w[pre + "attn.wq"], w[pre + "attn.bq"]), n_heads)
-            scores = q @ k.transpose(0, 1, 3, 2) * scale
-            if attn_bias is not None:
-                scores += attn_bias
-            attn = _softmax(scores)
-            ctx = tokens.from_heads(attn @ v)
-            lc.update(q=q, k=k, v=v, attn=attn, ctx=ctx)
+        scores = q @ k.transpose(0, 1, 3, 2) * scale
+        if attn_bias is not None:
+            scores += attn_bias
+        attn = _softmax(scores)
+        ctx = tokens.from_heads(attn @ v)
         x = x + tokens.affine(ctx, w[pre + "attn.wo"], w[pre + "attn.bo"])
         h2, lc["ln2"] = _ln_forward(x, w[pre + "ln2.gain"], w[pre + "ln2.offset"])
-        lc["h2"] = h2
         z1 = tokens.affine(h2, w[pre + "ffn.w1"], w[pre + "ffn.b1"])
         fz, gelu_t = _gelu(z1)
-        lc.update(z1=z1, fz=fz, gelu_t=gelu_t)
         x = x + tokens.affine(fz, w[pre + "ffn.w2"], w[pre + "ffn.b2"])
-        if for_backward:
-            cache["layers"].append(lc)
+        lc.update(h=h, q=q, k=k, v=v, attn=attn, ctx=ctx, h2=h2, z1=z1, fz=fz, gelu_t=gelu_t)
+        cache["layers"].append(lc)
 
-    # [n_masked, d]: only these rows reach the head (a trimmed top layer kept only them);
-    # without coords, every slot does
+    hf, cache["final_ln"] = _ln_forward(x[tokens.index(coords)], w["final_ln.gain"], w["final_ln.offset"])
+    cache["hf"] = hf
+    cache["logits"] = _head(tokens, hf, w, cfg.vocab_size)
+    return cache
+
+
+def _head(tokens, hf, w, vocab_size):
+    """Vocabulary logits of the final-LN rows `hf` [..., d]; finite, or NonFiniteActivation.
+
+    An `out.w` wider than the vocabulary (zero columns padding the scoring
+    copy) gives logits whose extra columns are dropped.
+    """
+    logits = tokens.affine(hf.reshape(-1, hf.shape[-1]), w["out.w"], w["out.b"])
+    logits = logits[:, :vocab_size].reshape(hf.shape[:-1] + (vocab_size,))
+    if not np.isfinite(logits).all():
+        raise NonFiniteActivation("forward pass produced non-finite logits")
+    return logits
+
+
+def _forward_scores(params: Parameters, ids, lengths, coords=None):
+    """Scoring forward in float64: logits at `coords`, or at every slot when `coords` is None.
+
+    Nothing is kept for a backward. The top layer is trimmed, layer 0 is
+    shared across repeated (token id, position) pairs, and layer norms and
+    GELU run in place, as the module docstring describes. A row's layer-0
+    work depends only on its pair because the embedding, LN1 and the Q/K/V
+    projections see that row alone; one sequence never repeats a pair.
+    """
+    cfg = params.config
+    w = {k: v.astype(np.float64, copy=False) for k, v in params.items()}
+    n_batch, padded = ids.shape
+    n_heads = cfg.n_heads
+    scale = 1.0 / math.sqrt(cfg.d_model // n_heads)
+    tokens = _TokenRows(lengths, padded)
+    trim = coords is not None and np.array_equal(
+        coords[0], np.repeat(np.arange(n_batch), len(coords[0]) // n_batch)
+    )
+
+    attn_bias = None
+    if tokens.valid is not None:
+        attn_bias = np.where(tokens.valid, 0.0, -np.inf)[:, None, None, :]
+
+    shared = None  # row -> its distinct (token id, position) pair, while layer 0 runs on the pairs
+    if tokens.valid is None and n_batch > 1:
+        flat, pos = ids.reshape(-1), tokens.positions()
+        _, first, shared = np.unique(flat * padded + pos, return_index=True, return_inverse=True)
+        x = w["embed.token"][flat[first]] + w["embed.position"][pos[first]]
+    else:
+        x = tokens.embed(ids, w["embed.token"], w["embed.position"])
+    for i in range(cfg.n_layers):
+        pre = f"layers.{i}."
+        rows = tokens.index(coords) if trim and i == cfg.n_layers - 1 else None
+        h = _ln_scores(x, w[pre + "ln1.gain"], w[pre + "ln1.offset"])
+        k, v = (tokens.affine(h, w[pre + "attn.w" + c], w[pre + "attn.b" + c]) for c in "kv")
+        q_in = h if rows is None or shared is not None else h[rows]
+        q = tokens.affine(q_in, w[pre + "attn.wq"], w[pre + "attn.bq"])
+        if shared is not None:  # back to one row per token
+            k, v = k[shared], v[shared]
+            keep = shared if rows is None else shared[rows]
+            x, q = x[keep], q[keep]
+            shared = None
+        elif rows is not None:
+            x = x[rows]
+        k, v = tokens.to_heads(k, n_heads), tokens.to_heads(v, n_heads)
+        if rows is not None:
+            ctx = _masked_attention(q, k, v, attn_bias, scale)
+        else:
+            scores = tokens.to_heads(q, n_heads) @ k.transpose(0, 1, 3, 2)
+            scores *= scale
+            if attn_bias is not None:
+                scores += attn_bias
+            ctx = tokens.from_heads(_softmax(scores) @ v)
+        x += tokens.affine(ctx, w[pre + "attn.wo"], w[pre + "attn.bo"])
+        h2 = _ln_scores(x, w[pre + "ln2.gain"], w[pre + "ln2.offset"])
+        z1 = tokens.affine(h2, w[pre + "ffn.w1"], w[pre + "ffn.b1"])
+        x += tokens.affine(_gelu_scores(z1), w[pre + "ffn.w2"], w[pre + "ffn.b2"])
+
+    # only the masked rows reach the head (a trimmed top layer kept only them); without coords, every slot
     if coords is None:
         x = tokens.scatter(x)
     elif not trim:
         x = x[tokens.index(coords)]
-    hf, cache["final_ln"] = _ln_forward(x, w["final_ln.gain"], w["final_ln.offset"])
-    cache["hf"] = hf
-    logits = tokens.affine(hf.reshape(-1, hf.shape[-1]), w["out.w"], w["out.b"])
-    logits = logits[:, : cfg.vocab_size].reshape(hf.shape[:-1] + (cfg.vocab_size,))
-    if not np.isfinite(logits).all():
-        raise NonFiniteActivation("forward pass produced non-finite logits")
-    cache["logits"] = logits
-    return cache
+    return _head(tokens, _ln_scores(x, w["final_ln.gain"], w["final_ln.offset"]), w, cfg.vocab_size)
 
 
 def forward(
@@ -422,7 +514,9 @@ def forward(
     positions per sequence) the final LN, the head and the softmax run only on
     those (row, position) pairs, and so does the top layer past its K/V
     projections when every list has the same length. The output is
-    [n_masked, vocab] in row-major order of the pairs as given.
+    [n_masked, vocab] in row-major order of the pairs as given. In a batch of
+    two or more sequences without padding, layer 0's LN1 and Q/K/V run once
+    per distinct (token id, position) pair (`_forward_scores`).
 
     Padding positions are excluded from attention and never computed, so a
     sequence's outputs do not depend on what the padding slots hold, nor, up to
@@ -433,8 +527,7 @@ def forward(
     """
     ids, lengths = _stack_batch(batch, params.config)
     coords = None if mask_positions is None else _masked_coords(mask_positions, lengths)
-    cache = _forward_cached(params, ids, lengths, coords, for_backward=False)
-    logits = cache["logits"]
+    logits = _forward_scores(params, ids, lengths, coords)
     return ForwardOutput(logits=logits, probabilities=_softmax(logits))
 
 

@@ -7,9 +7,14 @@ per chunk of at most CHUNK_ROWS token rows, so no chunk holds padding.
 `score_log` is the same code with a chunk of one log. Threads take whole
 chunks, so the thread count never changes a report.
 
+Each chunk is one call of `model.forward`, whose scoring forward runs layer 0
+once per distinct (token id, position) pair of the chunk: the variants of
+one log, and logs of one template, repeat most pairs. A chunk of one
+sequence skips that share.
+
 A log scores to the same bits alone as in a chunk only where the BLAS gives
 each row of a 2-D product the same bits whatever the product's row count
-(see `model`). OpenBLAS 0.3.31 on a SkylakeX core does for output widths
+(see `model`); the layer-0 share changes row counts as batching does. OpenBLAS 0.3.31 on a SkylakeX core does for output widths
 that are multiples of 8 and inner widths up to 384, so d_model and d_ff must
 both be such widths (the defaults, 128 and 256, are). Elsewhere a log's
 report can differ from `score_log` of it in the last bits, depending on which

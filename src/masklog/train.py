@@ -59,10 +59,13 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if not 0.0 < self.mask_fraction <= 1.0:
             raise ValueError("mask_fraction must lie in (0, 1]")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be > 0, not {self.learning_rate!r}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, not {self.weight_decay!r}")
+        # written so that NaN fails each check
+        if not (self.learning_rate > 0.0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be finite and > 0, not {self.learning_rate!r}")
+        if not (self.weight_decay >= 0.0 and math.isfinite(self.weight_decay)):
+            raise ValueError(f"weight_decay must be finite and >= 0, not {self.weight_decay!r}")
+        if self.grad_clip is not None and not (self.grad_clip > 0.0 and math.isfinite(self.grad_clip)):
+            raise ValueError(f"grad_clip must be None, or finite and > 0, not {self.grad_clip!r}")
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, not {self.warmup_steps!r}")
 

@@ -587,6 +587,23 @@ BAD_INPUTS = {
         "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt", "--weight-decay", -1.0]),
     "train-warmup-steps-negative": ("ConfigInvalid", lambda r, t: [
         "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt", "--warmup-steps", -5]),
+    "train-learning-rate-nan": ("ConfigInvalid", lambda r, t: [
+        "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt", "--learning-rate", "nan"]),
+    "train-learning-rate-inf": ("ConfigInvalid", lambda r, t: [
+        "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt", "--learning-rate", "inf"]),
+    "train-weight-decay-nan": ("ConfigInvalid", lambda r, t: [
+        "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt", "--weight-decay", "nan"]),
+    "train-grad-clip-nan": ("ConfigInvalid", lambda r, t: [
+        "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt", "--grad-clip", "nan"]),
+    "train-grad-clip-minus-inf": ("ConfigInvalid", lambda r, t: [
+        "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt", "--grad-clip=-inf"]),
+    "score-token-repeats-5": ("ConfigInvalid", lambda r, t: [
+        "score", "--in", r["val"], "--vocab", r["vocab"], "--checkpoint", r["ckpt"], "--out", t / "s.tsv",
+        "--mask-strategy", "token", "--repeats", 5]),
+    "synth-normal-negative": ("ConfigInvalid", lambda r, t: [
+        "synth", "--out", t / "raw.log", "--labels-out", t / "raw.labels", "--normal", -5]),
+    "synth-anomalies-negative": ("ConfigInvalid", lambda r, t: [
+        "synth", "--out", t / "raw.log", "--labels-out", t / "raw.labels", "--anomalies", -3]),
 }
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masklog import model
 from masklog.errors import (
@@ -13,8 +15,12 @@ from masklog.model import (
     LN_EPS,
     ModelConfig,
     _forward_cached,
+    _forward_scores,
     _gelu,
     _gelu_grad,
+    _gelu_scores,
+    _ln_forward,
+    _ln_scores,
     _masked_coords,
     _scatter_add,
     _stack_batch,
@@ -26,6 +32,7 @@ from masklog.model import (
     mlm_loss,
     params_digest,
 )
+from masklog.masking import plan_random, plan_token_by_token
 from masklog.train import TrainConfig, train
 from masklog.vocab import PAD_ID, TokenSequence
 
@@ -517,10 +524,10 @@ class TestTrimmedTopLayer:
         ids, lengths = _stack_batch(batch, self.CFG)
         coords = _masked_coords(positions, lengths)
         plain = _forward_cached(params, ids, lengths, coords)
-        trimmed = _forward_cached(params, ids, lengths, coords, for_backward=False)
-        assert len(plain["layers"]) == self.CFG.n_layers and trimmed["layers"] == []
+        scored = _forward_scores(params, ids, lengths, coords)
+        assert len(plain["layers"]) == self.CFG.n_layers
         assert all(len(lc["h2"]) == int(lengths.sum()) and "attn" in lc for lc in plain["layers"])
-        assert np.abs(trimmed["logits"] - plain["logits"]).max() <= 1e-12
+        assert np.abs(scored - plain["logits"]).max() <= 1e-12
 
 
 class TestTwoDimensionalProducts:
@@ -540,3 +547,69 @@ class TestTwoDimensionalProducts:
         for i, log in enumerate(logs):
             alone = forward(params, [log], mask_positions=[[0]]).logits
             assert alone[0].tobytes() == together[i].tobytes(), i
+
+
+def _variants(seqs, plan, repeats=1):
+    """Masked variants of same-length logs as (batch, mask_positions), log-major."""
+    if plan == "token":
+        plans = [p for seq in seqs for p in plan_token_by_token(seq)]
+    else:
+        plans = [plan_random(seq, 0.4, rng_seed=(i, r)) for i, seq in enumerate(seqs) for r in range(repeats)]
+    return [p.masked_sequence for p in plans], [list(p.masked_indices) for p in plans]
+
+
+class TestScoringForward:
+    """In a padding-free batch of two or more sequences, layer 0 runs once per distinct
+    (token id, position) pair. Each sequence run alone is the bit-exact reference, and
+    the full per-position forward the 1e-12 one."""
+
+    # output widths that are multiples of 8, so a row's product bits do not depend on the row count
+    @staticmethod
+    def _params(n_layers):
+        return init_params(ModelConfig(vocab_size=24, d_model=16, n_heads=2, n_layers=n_layers, d_ff=32, max_len=8), 9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_layers=st.sampled_from([1, 2]),
+        plan=st.sampled_from(["token", "random"]),
+        repeats=st.integers(1, 3),
+        logs=st.integers(1, 8).flatmap(  # ids from a 4-token alphabet, so pairs repeat across logs
+            lambda n: st.lists(st.lists(st.integers(4, 7), min_size=n, max_size=n), min_size=2, max_size=4)
+        ),
+    )
+    def test_each_row_keeps_its_bits_alone(self, n_layers, plan, repeats, logs):
+        params = self._params(n_layers)
+        seqs = [TokenSequence(ids=np.array(ids, dtype=np.int64), length=len(ids)) for ids in logs]
+        batch, positions = _variants(seqs, plan, repeats)
+        together = forward(params, batch, mask_positions=positions).logits
+        full = forward(params, batch).logits
+        start = 0
+        for b, (seq, pos) in enumerate(zip(batch, positions)):
+            got, start = together[start : start + len(pos)], start + len(pos)
+            assert got.tobytes() == forward(params, [seq], mask_positions=[pos]).logits.tobytes(), b
+            assert np.abs(got - full[b, pos]).max() <= 1e-12, b
+
+    @pytest.mark.parametrize("shape", [(1, 16), (7, 16), (324, 128), (50, 256)])
+    def test_in_place_elementwise_ops_give_the_same_bits(self, shape):
+        rng = np.random.default_rng(shape[0])
+        x = rng.normal(0.0, 3.0, size=shape)
+        gain, offset = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+        assert _ln_scores(x, gain, offset).tobytes() == _ln_forward(x, gain, offset)[0].tobytes()
+        assert _gelu_scores(x.copy()).tobytes() == _gelu(x)[0].tobytes()
+
+    @pytest.mark.parametrize("n_logs, plan", [(1, "token"), (3, "token"), (3, "random"), (1, "random")])
+    def test_layer_zero_projections_see_only_the_distinct_pairs(self, monkeypatch, n_logs, plan):
+        rng = np.random.default_rng(2)
+        batch, positions = _variants([make_seq(5, rng=rng) for _ in range(n_logs)], plan)
+        ids = np.stack([seq.ids[:5] for seq in batch])
+        pairs = len(np.unique(ids * 5 + np.arange(5))) if len(batch) > 1 else ids.size
+        n_rows, n_masked = ids.size, sum(len(p) for p in positions)
+        seen, real = [], _TokenRows.affine
+        monkeypatch.setattr(_TokenRows, "affine", lambda self, x, w, b: seen.append(len(x)) or real(self, x, w, b))
+        forward(self._params(2), batch, mask_positions=positions)
+        assert pairs < n_rows or len(batch) == 1
+        assert seen == [
+            pairs, pairs, pairs, n_rows, n_rows, n_rows,  # layer 0: K, V, Q; out, FFN in, FFN out
+            n_rows, n_rows, n_masked, n_masked, n_masked, n_masked,  # top layer, trimmed past K and V
+            n_masked,  # head
+        ]

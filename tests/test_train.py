@@ -78,10 +78,17 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(mask_fraction=0.0)
         for bad in ({"learning_rate": 0.0}, {"learning_rate": -3e-3}, {"weight_decay": -1.0},
-                    {"warmup_steps": -5}):
+                    {"warmup_steps": -5}, {"grad_clip": 0.0}, {"grad_clip": -1.0}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 TrainConfig(**bad)
         TrainConfig(weight_decay=0.0, warmup_steps=0)  # the boundaries themselves are allowed
+        TrainConfig(grad_clip=None)  # clipping off
+
+    @pytest.mark.parametrize("key", ["learning_rate", "weight_decay", "grad_clip"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_refused(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
 
 
 class _ReferenceAdamW:
