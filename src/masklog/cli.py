@@ -359,20 +359,23 @@ def run_score(opts):
     return [opts["in_"], opts["vocab"], opts["checkpoint"]], [opts["out"]], []
 
 
+def _header_repeats(path, meta) -> int:
+    try:
+        return int(meta.get("repeats", 1))
+    except ValueError:
+        raise MalformedInput(f"{path}: header repeats={meta['repeats']!r} is not an int") from None
+
+
 def run_calibrate(opts):
     _require(opts, "scores", "out")
     meta, rows = read_scores(opts["scores"])
-    try:
-        repeats = int(meta.get("repeats", 1))
-    except ValueError:
-        raise MalformedInput(f"{opts['scores']}: header repeats={meta['repeats']!r} is not an int") from None
     t = select_threshold(
         [r["score"] for r in rows],
         percentile=opts["percentile"],
         checkpoint_hash=meta.get("checkpoint", ""),
         vocab_hash=meta.get("vocab", ""),
         strategy=meta.get("strategy", ""),
-        repeats=repeats,
+        repeats=_header_repeats(opts["scores"], meta),
     )
     write_threshold(opts["out"], t)
     return [opts["scores"]], [opts["out"]], []
@@ -382,10 +385,14 @@ def run_detect(opts):
     _require(opts, "scores", "threshold", "out")
     meta, rows = read_scores(opts["scores"])
     t = read_threshold(opts["threshold"])
-    if t.checkpoint_hash and meta.get("checkpoint") != t.checkpoint_hash:
-        raise DigestMismatch("field checkpoint: scores and threshold disagree")
-    if t.vocab_hash and meta.get("vocab") != t.vocab_hash:
-        raise DigestMismatch("field vocab: scores and threshold disagree")
+    for name, ours, theirs in (
+        ("checkpoint", meta.get("checkpoint"), t.checkpoint_hash),
+        ("vocab", meta.get("vocab"), t.vocab_hash),
+        ("strategy", meta.get("strategy"), t.strategy),
+        ("repeats", _header_repeats(opts["scores"], meta), t.repeats),
+    ):
+        if theirs and ours != theirs:
+            raise DigestMismatch(f"field {name}: scores and threshold disagree")
     verdict_rows = [
         (r["source_id"], r["line_no"], r["score"], t.value, verdict_label(r["score"], t.value))
         for r in rows
@@ -442,9 +449,12 @@ def _ablation_inputs(opts):
 
 
 def run_ablate_masking(opts):
-    ckpt, val_seqs, test_seqs, test_labels, inputs = _ablation_inputs(opts)
     strategies = [s.strip() for s in str(opts["strategies"]).split(",") if s.strip()]
     percentiles = [float(p) for p in str(opts["percentiles"]).split(",") if p.strip()]
+    for name, values in (("strategies", strategies), ("percentiles", percentiles)):
+        if not values:
+            raise ConfigInvalid(f"--{name} names no value")
+    ckpt, val_seqs, test_seqs, test_labels, inputs = _ablation_inputs(opts)
     cells = ablate_masking(
         ckpt,
         val_seqs,

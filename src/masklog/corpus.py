@@ -208,6 +208,8 @@ def synthesize(n_templates: int, n_normal: int, n_anomalies: int, seed: int) -> 
         raise ValueError("need at least 2 templates")
     if n_normal < 0 or n_anomalies < 0:
         raise ValueError(f"line counts must be >= 0, not normal={n_normal!r} anomalies={n_anomalies!r}")
+    if n_normal + n_anomalies == 0:
+        raise ValueError("need at least one normal or anomalous line")
     rng = np.random.default_rng(seed)
     templates = [_Template(rng, _WORD_POOL) for _ in range(n_templates)]
 

@@ -15,31 +15,29 @@ gathered to the masked (row, position) pairs before the final layer norm, so
 the final LN, the |V|-wide head and the softmax run on n_masked rows only.
 Without masked positions, full per-position distributions are formed.
 
-Training and scoring run separate forward passes. `_forward_cached`, the
-training forward, keeps every layer's activations for `loss_and_gradients`.
-`_forward_scores`, behind `forward`, keeps none and saves work three ways
-that leave every row's bits as they are:
-- When every sequence has the same number of masked positions (every
-  scoring chunk), the top layer computes K and V for every row, and Q, the
-  attention core, the output projection, LN2 and the FFN only for the
-  masked rows.
-- In a padding-free batch of two or more sequences, layer 0's embedding
-  sum, LN1 and Q/K/V run once per distinct (token id, position) pair and
-  are indexed back to the rows. A batch of one never repeats a pair and
-  skips the unique step.
+There are two forward passes, and `forward` alone picks one. Scoring sends
+one shape: a batch without padding (logs of one length) with the same
+number of masked positions in every sequence. `_forward_scores` runs that
+shape, keeps no activations and saves work three ways that leave every
+row's bits as they are:
+- The top layer computes K and V for every row, and Q, the attention core,
+  the output projection, LN2 and the FFN only for the masked rows.
+- In a batch of two or more sequences, layer 0's embedding sum, LN1 and
+  Q/K/V run once per distinct (token id, position) pair and are indexed
+  back to the rows. One sequence never repeats a pair.
 - Layer norms and GELU run in place, in the training forward's operation
   order.
+Every other call (full per-position output, a padded batch, unequal masked
+counts) runs `_forward_cached`, the training forward, in float64.
 
-Below the head, a batch is unpadded (`_TokenRows`): its content tokens are
-gathered once into an [n_tokens, d] matrix, and the embedding sum, both
-layer norms, the Q/K/V/output projections and the feed-forward block run on
-those rows, forward and backward. Rows are scattered to [B, H, L, d/H] only
-for the attention core (scores, softmax, attention-weighted values), where
-padded keys are masked out. No row at a padding position is computed, and
-no id in a padding slot reaches the arithmetic. A batch without padding,
-which is every batch that scoring and the heatmap run (they batch logs of one
-length), bypasses the gather and the scatter: its rows are the [B, L] grid
-itself. A pass depends only on its parameters and its batch.
+In `_forward_cached` a batch is unpadded (`_TokenRows`): its content tokens
+are gathered once into an [n_tokens, d] matrix, and everything below the
+head runs on those rows, forward and backward, except the attention core
+(scores, softmax, attention-weighted values), which runs on [B, H, L, d/H]
+with padded keys masked out. No row at a padding position is computed, and
+no id in a padding slot reaches the arithmetic. A batch without padding
+bypasses the gather and the scatter. A pass depends only on its parameters
+and its batch.
 
 Every projection, the head included, is one 2-D `rows @ W` product of at
 least two rows (`_TokenRows.affine`). Where a row's bits in such a product do
@@ -360,29 +358,28 @@ class _TokenRows:
         return (np.cumsum(self.lengths) - self.lengths)[bs] + ps
 
 
-def _masked_attention(q, k, v, attn_bias, scale):
-    """Attention of masked query rows q [B * m, d] over every key of their own sequence.
+def _masked_attention(q, k, v, scale):
+    """Attention of query rows q [B * m, d] over every key of their own sequence.
 
-    Each of the B sequences has m queries, sequence-major as `_masked_coords`
-    builds them, so they run as [B, H, m, L] scores against k and v
-    [B, H, L, d / H] in place.
+    Each of the B sequences has m queries (m = L below the top layer),
+    sequence-major, so they run as [B, H, m, L] scores against k and v [B, H, L, d / H].
     """
     n_batch, n_heads = k.shape[:2]
     q = q.reshape(n_batch, -1, n_heads, q.shape[1] // n_heads).transpose(0, 2, 1, 3)
-    scores = q @ k.transpose(0, 1, 3, 2) * scale
-    if attn_bias is not None:
-        scores += attn_bias
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= scale
     ctx = _softmax(scores) @ v
     return ctx.transpose(0, 2, 1, 3).reshape(n_batch * q.shape[2], -1)
 
 
 def _forward_cached(params: Parameters, ids, lengths, coords, dtype=np.float64):
-    """Training forward: keeps what the backward needs; `coords` = (rows, positions) to gather.
+    """Training forward, and `forward` outside the scoring shape; `coords` = (rows, positions) to gather.
 
-    Every activation outside the attention core is a `_TokenRows` matrix, one
-    row per content token, and every layer runs on all of them. Every
-    activation is computed in `dtype`. The attention bias is built in it too,
-    because one float64 operand would promote the whole pass back to float64.
+    The cache keeps what the backward needs. Every activation outside the
+    attention core is a `_TokenRows` matrix, one row per content token, and
+    every layer runs on all of them. Every activation is computed in `dtype`.
+    The attention bias is built in it too, because one float64 operand would
+    promote the whole pass back to float64.
     """
     cfg = params.config
     w = {k: v.astype(dtype, copy=False) for k, v in params.items()}
@@ -436,39 +433,29 @@ def _head(tokens, hf, w, vocab_size):
     return logits
 
 
-def _forward_scores(params: Parameters, ids, lengths, coords=None):
-    """Scoring forward in float64: logits at `coords`, or at every slot when `coords` is None.
+def _forward_scores(params: Parameters, ids, coords):
+    """Scoring forward in float64: logits at `coords`, the same count per sequence, of a padding-free batch.
 
-    Nothing is kept for a backward. The top layer is trimmed, layer 0 is
-    shared across repeated (token id, position) pairs, and layer norms and
-    GELU run in place, as the module docstring describes. A row's layer-0
-    work depends only on its pair because the embedding, LN1 and the Q/K/V
-    projections see that row alone; one sequence never repeats a pair.
+    It keeps nothing for a backward and saves work as the module docstring
+    lists. A row's layer-0 work depends only on its (token id, position) pair
+    because the embedding, LN1 and the Q/K/V projections see that row alone.
     """
     cfg = params.config
     w = {k: v.astype(np.float64, copy=False) for k, v in params.items()}
-    n_batch, padded = ids.shape
-    n_heads = cfg.n_heads
-    scale = 1.0 / math.sqrt(cfg.d_model // n_heads)
-    tokens = _TokenRows(lengths, padded)
-    trim = coords is not None and np.array_equal(
-        coords[0], np.repeat(np.arange(n_batch), len(coords[0]) // n_batch)
-    )
-
-    attn_bias = None
-    if tokens.valid is not None:
-        attn_bias = np.where(tokens.valid, 0.0, -np.inf)[:, None, None, :]
+    n_batch, length = ids.shape
+    scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
+    tokens = _TokenRows(np.full(n_batch, length), length)
 
     shared = None  # row -> its distinct (token id, position) pair, while layer 0 runs on the pairs
-    if tokens.valid is None and n_batch > 1:
+    if n_batch > 1:
         flat, pos = ids.reshape(-1), tokens.positions()
-        _, first, shared = np.unique(flat * padded + pos, return_index=True, return_inverse=True)
+        _, first, shared = np.unique(flat * length + pos, return_index=True, return_inverse=True)
         x = w["embed.token"][flat[first]] + w["embed.position"][pos[first]]
     else:
         x = tokens.embed(ids, w["embed.token"], w["embed.position"])
     for i in range(cfg.n_layers):
         pre = f"layers.{i}."
-        rows = tokens.index(coords) if trim and i == cfg.n_layers - 1 else None
+        rows = tokens.index(coords) if i == cfg.n_layers - 1 else None  # the top layer keeps the masked rows
         h = _ln_scores(x, w[pre + "ln1.gain"], w[pre + "ln1.offset"])
         k, v = (tokens.affine(h, w[pre + "attn.w" + c], w[pre + "attn.b" + c]) for c in "kv")
         q_in = h if rows is None or shared is not None else h[rows]
@@ -480,25 +467,11 @@ def _forward_scores(params: Parameters, ids, lengths, coords=None):
             shared = None
         elif rows is not None:
             x = x[rows]
-        k, v = tokens.to_heads(k, n_heads), tokens.to_heads(v, n_heads)
-        if rows is not None:
-            ctx = _masked_attention(q, k, v, attn_bias, scale)
-        else:
-            scores = tokens.to_heads(q, n_heads) @ k.transpose(0, 1, 3, 2)
-            scores *= scale
-            if attn_bias is not None:
-                scores += attn_bias
-            ctx = tokens.from_heads(_softmax(scores) @ v)
+        ctx = _masked_attention(q, tokens.to_heads(k, cfg.n_heads), tokens.to_heads(v, cfg.n_heads), scale)
         x += tokens.affine(ctx, w[pre + "attn.wo"], w[pre + "attn.bo"])
         h2 = _ln_scores(x, w[pre + "ln2.gain"], w[pre + "ln2.offset"])
         z1 = tokens.affine(h2, w[pre + "ffn.w1"], w[pre + "ffn.b1"])
         x += tokens.affine(_gelu_scores(z1), w[pre + "ffn.w2"], w[pre + "ffn.b2"])
-
-    # only the masked rows reach the head (a trimmed top layer kept only them); without coords, every slot
-    if coords is None:
-        x = tokens.scatter(x)
-    elif not trim:
-        x = x[tokens.index(coords)]
     return _head(tokens, _ln_scores(x, w["final_ln.gain"], w["final_ln.offset"]), w, cfg.vocab_size)
 
 
@@ -512,22 +485,36 @@ def forward(
     Without mask_positions the output holds a distribution for every
     position, [batch, padded_len, vocab]. With mask_positions (one list of
     positions per sequence) the final LN, the head and the softmax run only on
-    those (row, position) pairs, and so does the top layer past its K/V
-    projections when every list has the same length. The output is
-    [n_masked, vocab] in row-major order of the pairs as given. In a batch of
-    two or more sequences without padding, layer 0's LN1 and Q/K/V run once
-    per distinct (token id, position) pair (`_forward_scores`).
+    those (row, position) pairs, and the output is [n_masked, vocab] in
+    row-major order of the pairs as given.
+
+    This is the one place that picks a forward. The scoring shape (no padding,
+    the same masked count in every sequence: every `score` and `heatmap` batch)
+    runs `_forward_scores`; every other call runs `_forward_cached`, the
+    float64 forward that the gradient oracle differentiates.
 
     Padding positions are excluded from attention and never computed, so a
     sequence's outputs do not depend on what the padding slots hold, nor, up to
     rounding in a padded batch, on its batch companions. Padding positions in a
-    full per-position output hold the distribution of an all-zero encoder row.
-    The same parameters and batch give the same bits on every call. Weights
-    already held as float64 are used without a copy.
+    full per-position output hold the distribution of an all-zero encoder row,
+    the head applied to `final_ln.offset`. The same parameters and batch give
+    the same bits on every call. Weights already held as float64 are used
+    without a copy.
     """
-    ids, lengths = _stack_batch(batch, params.config)
-    coords = None if mask_positions is None else _masked_coords(mask_positions, lengths)
-    logits = _forward_scores(params, ids, lengths, coords)
+    cfg = params.config
+    ids, lengths = _stack_batch(batch, cfg)
+    full = mask_positions is None
+    coords = _masked_coords([range(n) for n in lengths] if full else mask_positions, lengths)
+    counts = np.bincount(coords[0], minlength=len(lengths))
+    if not full and lengths.min() == ids.shape[1] and counts.min() == counts.max():
+        logits = _forward_scores(params, ids, coords)
+    else:
+        cache = _forward_cached(params, ids, lengths, coords)
+        logits = cache["logits"]
+        if full:  # padding slots hold the head of an all-zero encoder row
+            w, logits = cache["weights"], np.empty(ids.shape + (cfg.vocab_size,))
+            logits[:] = _head(cache["tokens"], w["final_ln.offset"][None], w, cfg.vocab_size)
+            logits[coords] = cache["logits"]
     return ForwardOutput(logits=logits, probabilities=_softmax(logits))
 
 

@@ -7,18 +7,20 @@ per chunk of at most CHUNK_ROWS token rows, so no chunk holds padding.
 `score_log` is the same code with a chunk of one log. Threads take whole
 chunks, so the thread count never changes a report.
 
-Each chunk is one call of `model.forward`, whose scoring forward runs layer 0
-once per distinct (token id, position) pair of the chunk: the variants of
-one log, and logs of one template, repeat most pairs. A chunk of one
-sequence skips that share.
+Each chunk is one call of `model.forward` in the scoring shape (no padding,
+the same masked count per variant), which runs the scoring forward. It runs
+layer 0 once per distinct (token id, position) pair of the chunk: the
+variants of one log, and logs of one template, repeat most pairs. A chunk of
+one sequence skips that share.
 
 A log scores to the same bits alone as in a chunk only where the BLAS gives
 each row of a 2-D product the same bits whatever the product's row count
-(see `model`); the layer-0 share changes row counts as batching does. OpenBLAS 0.3.31 on a SkylakeX core does for output widths
-that are multiples of 8 and inner widths up to 384, so d_model and d_ff must
-both be such widths (the defaults, 128 and 256, are). Elsewhere a log's
-report can differ from `score_log` of it in the last bits, depending on which
-other logs share its chunk.
+(see `model`); the layer-0 share changes row counts as batching does.
+OpenBLAS 0.3.31 on a SkylakeX core does for output widths that are multiples
+of 8 and inner widths up to 384, so d_model and d_ff must both be such widths
+(the defaults, 128 and 256, are). Elsewhere a log's report can differ from
+`score_log` of it in the last bits, depending on which other logs share its
+chunk.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigInvalid, EmptyCorpus, VocabMismatch
+from .errors import ConfigInvalid, EmptyCorpus
 from .masking import TOKEN_BY_TOKEN, MaskingStrategy, plan_random, plan_token_by_token
 from .model import forward
 from .train import Checkpoint, derive_seed
@@ -82,9 +84,9 @@ def _true_token_probs(ckpt: Checkpoint, plans) -> list:
     return [(pos, max(float(prob), PROB_FLOOR)) for pos, prob in zip(positions, probs)]
 
 
-def _check_repeats(repeats: int) -> None:
-    if repeats < 1:
-        raise ConfigInvalid(f"repeats must be >= 1, not {repeats!r}")
+def _check_at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise ConfigInvalid(f"{name} must be >= 1, not {value!r}")
 
 
 def _plans(seq, strategy: MaskingStrategy, seed: int, repeats: int) -> list:
@@ -119,7 +121,6 @@ def score_log(
     strategy: MaskingStrategy,
     seed: int = 0,
     repeats: int = 1,
-    vocab_hash: str | None = None,
 ) -> ScoreReport:
     """Score one log under the given masking strategy.
 
@@ -127,9 +128,7 @@ def score_log(
     token_by_token masks every content position in its own variant, so
     token_probs covers the whole log.
     """
-    if vocab_hash is not None and ckpt.vocab_hash and vocab_hash != ckpt.vocab_hash:
-        raise VocabMismatch("sequence vocabulary does not match the checkpoint")
-    _check_repeats(repeats)
+    _check_at_least_one("repeats", repeats)
     return _score_chunk(ckpt, [seq], [seed], strategy, repeats)[0]
 
 
@@ -165,7 +164,8 @@ def score_corpus(
     elsewhere it may differ in the last bits. Threads take whole chunks, so
     any count gives the same reports.
     """
-    _check_repeats(repeats)
+    _check_at_least_one("repeats", repeats)
+    _check_at_least_one("threads", threads)
     corpus = list(corpus)
 
     def run(chunk: list[int]) -> list[ScoreReport]:
@@ -173,7 +173,7 @@ def score_corpus(
         return _score_chunk(ckpt, [corpus[i] for i in chunk], seeds, strategy, repeats)
 
     chunks = _chunks(corpus, strategy, repeats)
-    if threads and threads > 1:
+    if threads > 1:
         ckpt.scoring_params()  # cast here, or each thread may build its own float64 copy
         with ThreadPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(run, chunks))

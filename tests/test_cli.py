@@ -604,6 +604,22 @@ BAD_INPUTS = {
         "synth", "--out", t / "raw.log", "--labels-out", t / "raw.labels", "--normal", -5]),
     "synth-anomalies-negative": ("ConfigInvalid", lambda r, t: [
         "synth", "--out", t / "raw.log", "--labels-out", t / "raw.labels", "--anomalies", -3]),
+    "synth-no-lines": ("ConfigInvalid", lambda r, t: [
+        "synth", "--out", t / "raw.log", "--labels-out", t / "raw.labels", "--normal", 0, "--anomalies", 0]),
+    "detect-threshold-of-another-strategy": ("DigestMismatch", _threshold_with(strategy="token")),
+    "detect-threshold-of-other-repeats": ("DigestMismatch", _threshold_with(repeats=3)),
+    "ablate-masking-no-strategies": ("ConfigInvalid", lambda r, t: [
+        "ablate-masking", "--checkpoint", t / "never-read.ckpt", "--vocab", r["vocab"], "--val", r["val"],
+        "--test", r["test"], "--out", t / "grid.tsv", "--strategies", ""]),
+    "ablate-masking-no-percentiles": ("ConfigInvalid", lambda r, t: [
+        "ablate-masking", "--checkpoint", t / "never-read.ckpt", "--vocab", r["vocab"], "--val", r["val"],
+        "--test", r["test"], "--out", t / "grid.tsv", "--percentiles", ""]),
+    "score-threads-0": ("ConfigInvalid", lambda r, t: [
+        "score", "--in", r["val"], "--vocab", r["vocab"], "--checkpoint", r["ckpt"], "--out", t / "s.tsv",
+        "--threads", 0]),
+    "score-threads-negative": ("ConfigInvalid", lambda r, t: [
+        "score", "--in", r["val"], "--vocab", r["vocab"], "--checkpoint", r["ckpt"], "--out", t / "s.tsv",
+        "--threads", -3]),
 }
 
 

@@ -32,8 +32,9 @@ from masklog.model import (
     mlm_loss,
     params_digest,
 )
-from masklog.masking import plan_random, plan_token_by_token
-from masklog.train import TrainConfig, train
+from masklog.masking import TOKEN_BY_TOKEN, MaskingStrategy, plan_random, plan_token_by_token
+from masklog.score import score_corpus, score_log
+from masklog.train import Checkpoint, TrainConfig, train
 from masklog.vocab import PAD_ID, TokenSequence
 
 from conftest import make_seq
@@ -139,7 +140,7 @@ class TestForward:
         batch, _, _ = tiny_batch
         params = init_params(tiny_cfg, 0)
         params.tensors["out.w"][0, 0] = np.float32("inf")
-        with pytest.raises(NonFiniteActivation):
+        with pytest.raises(NonFiniteActivation), np.errstate(invalid="ignore", over="ignore"):
             forward(params, batch)
 
 
@@ -508,26 +509,84 @@ class TestTrimmedTopLayer:
         assert np.abs(trimmed.logits - full.logits[bs, ps]).max() <= 1e-12
         assert np.abs(trimmed.probabilities - full.probabilities[bs, ps]).max() <= 1e-12
 
-    @pytest.mark.parametrize("positions, trimmed", [
-        ([[0, 2], [1, 7], [2, 0]], True),  # two each, sequence-major
-        ([[0, 2], [1, 3, 7], [2]], False),  # 2, 3 and 1: the full top layer runs
+    @pytest.mark.parametrize("positions, layout, query_rows", [
+        ([[0, 2], [1, 5], [2, 0]], "same-length", [18, 6]),  # two each: the top layer's queries are the masked rows
+        ([[0, 2], [1, 3, 5], [2]], "same-length", []),  # 2, 3 and 1: the training forward runs
+        ([[0, 2], [1, 7], [2, 0]], "padded", []),  # two each in a padded batch: the training forward runs
     ])
-    def test_trims_only_when_every_sequence_has_the_same_count(self, tiny_batch, monkeypatch, positions, trimmed):
+    def test_trims_only_when_every_sequence_has_the_same_count(self, tiny_batch, monkeypatch, positions, layout,
+                                                               query_rows):
+        rng = np.random.default_rng(3)
+        batch = tiny_batch[0] if layout == "padded" else [make_seq(6, rng=rng) for _ in range(3)]
         calls, real = [], model._masked_attention
-        monkeypatch.setattr(model, "_masked_attention", lambda *a: calls.append(a) or real(*a))
-        forward(init_params(self.CFG, 7), tiny_batch[0], mask_positions=positions)
-        assert len(calls) == int(trimmed)
+        monkeypatch.setattr(model, "_masked_attention", lambda q, *a: calls.append(len(q)) or real(q, *a))
+        forward(init_params(self.CFG, 7), batch, mask_positions=positions)
+        assert calls == query_rows
 
-    def test_trim_leaves_the_training_forward_alone(self, tiny_batch):
-        batch, targets, positions = tiny_batch
+    def test_trim_leaves_the_training_forward_alone(self):
+        rng = np.random.default_rng(3)
+        batch, positions = [make_seq(6, rng=rng) for _ in range(3)], [[0, 2], [1, 5], [2, 0]]
         params = init_params(self.CFG, 7)
         ids, lengths = _stack_batch(batch, self.CFG)
         coords = _masked_coords(positions, lengths)
         plain = _forward_cached(params, ids, lengths, coords)
-        scored = _forward_scores(params, ids, lengths, coords)
+        scored = _forward_scores(params, ids, coords)
         assert len(plain["layers"]) == self.CFG.n_layers
         assert all(len(lc["h2"]) == int(lengths.sum()) and "attn" in lc for lc in plain["layers"])
         assert np.abs(scored - plain["logits"]).max() <= 1e-12
+
+
+class TestForwardRouting:
+    """`forward` sends the scoring shape (no padding, the same masked count in every
+    sequence) to `_forward_scores` and every other call to `_forward_cached`."""
+
+    CFG = ModelConfig(vocab_size=24, d_model=16, n_heads=2, n_layers=2, d_ff=32, max_len=8)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        for name in ("_forward_scores", "_forward_cached"):
+            def spy(params, ids, *args, _name=name, _real=getattr(model, name)):
+                seen.append((_name, ids.shape))
+                return _real(params, ids, *args)
+            monkeypatch.setattr(model, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["token", "random"])
+    def test_scoring_chunks_run_the_scoring_forward(self, calls, kind):
+        ckpt = Checkpoint(params=init_params(self.CFG, 2), vocab_hash="", train_config=TrainConfig(), final_loss=0.0)
+        strategy = MaskingStrategy(kind=TOKEN_BY_TOKEN, fraction=1.0) if kind == "token" else MaskingStrategy()
+        rng = np.random.default_rng(4)
+        score_log(ckpt, make_seq(5, hi=24, rng=rng), strategy)
+        assert calls == [("_forward_scores", (5, 5) if kind == "token" else (1, 5))]
+        calls.clear()
+        corpus = [make_seq(n, hi=24, rng=rng) for n in (1, 4, 4, 6, 4)]
+        score_corpus(ckpt, corpus, strategy, repeats=1 if kind == "token" else 2)
+        shapes = [(1, 1), (12, 4), (6, 6)] if kind == "token" else [(2, 1), (6, 4), (2, 6)]  # (variants, length)
+        assert sorted(calls) == sorted(("_forward_scores", shape) for shape in shapes)
+
+    @pytest.mark.parametrize("case", ["full", "padded", "unequal-counts"])
+    def test_other_calls_run_the_training_forward(self, calls, tiny_batch, case):
+        rng = np.random.default_rng(5)
+        batch, positions = [make_seq(6, hi=24, rng=rng) for _ in range(3)], None
+        if case == "padded":
+            batch, positions = tiny_batch[0], [[0, 2], [1, 7], [2, 0]]
+        elif case == "unequal-counts":
+            positions = [[0, 2], [1, 3, 5], [2]]
+        forward(init_params(self.CFG, 7), batch, mask_positions=positions)
+        assert [name for name, _ in calls] == ["_forward_cached"]
+
+    def test_padding_slots_of_a_full_output_hold_the_head_of_the_final_ln_offset(self, tiny_batch):
+        params = init_params(self.CFG, 7)
+        params.tensors["final_ln.offset"][:] = np.random.default_rng(6).normal(size=self.CFG.d_model)
+        batch = tiny_batch[0]  # lengths 5, 8 and 3
+        out = forward(params, batch)
+        w = {k: v.astype(np.float64) for k, v in params.items()}
+        head = w["final_ln.offset"] @ w["out.w"] + w["out.b"]
+        for b, seq in enumerate(batch):
+            for p in range(seq.length, out.logits.shape[1]):
+                assert np.abs(out.logits[b, p] - head).max() <= 1e-12, (b, p)
+        assert np.all(np.abs(out.probabilities.sum(-1) - 1.0) <= 1e-6)
 
 
 class TestTwoDimensionalProducts:

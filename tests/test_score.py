@@ -124,13 +124,6 @@ class TestScoreLog:
     def test_known_arithmetic(self):
         assert recompute_score([(0, 0.5), (1, 0.25)]) == pytest.approx(1.0397207708399179)
 
-    def test_vocab_hash_mismatch(self, toy_model):
-        from masklog.errors import VocabMismatch
-
-        with pytest.raises(VocabMismatch):
-            score_log(toy_model["checkpoint"], toy_model["seqs"][0], RANDOM15,
-                      vocab_hash="not-the-right-digest")
-
 
 class TestScoreCorpus:
     def test_order_and_length_preserved(self, toy_model):
