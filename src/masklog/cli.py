@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -42,6 +43,7 @@ from .detect import confusion_counts, metrics_from_counts  # noqa: F401
 from .errors import (
     ConfigInvalid,
     DigestMismatch,
+    EmptyCorpus,
     MalformedInput,
     MasklogError,
     MissingInput,
@@ -343,6 +345,8 @@ def run_score(opts):
     _, seqs, _ = _load_clean_seqs(
         opts["in_"], vocab, ckpt.model_config.max_len, labeled=opts.get("labeled", False)
     )
+    if not seqs:
+        raise EmptyCorpus(f"{opts['in_']} holds no log to score")
     reports = score_corpus(
         ckpt, seqs, strategy, seed=opts["seed"], repeats=opts["repeats"], threads=opts["threads"]
     )
@@ -451,9 +455,15 @@ def _ablation_inputs(opts):
 def run_ablate_masking(opts):
     strategies = [s.strip() for s in str(opts["strategies"]).split(",") if s.strip()]
     percentiles = [float(p) for p in str(opts["percentiles"]).split(",") if p.strip()]
-    for name, values in (("strategies", strategies), ("percentiles", percentiles)):
+    for name, values in (
+        ("strategies", [MaskingStrategy.parse(s).describe() for s in strategies]),
+        ("percentiles", percentiles),
+    ):
         if not values:
             raise ConfigInvalid(f"--{name} names no value")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigInvalid(f"--{name} names {repeated[0]!r} more than once")
     ckpt, val_seqs, test_seqs, test_labels, inputs = _ablation_inputs(opts)
     cells = ablate_masking(
         ckpt,
@@ -622,6 +632,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigInvalid(f"{self.prog}: {message}")
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="masklog", description=__doc__)
     parser.add_argument("--version", action="version", version=f"masklog {__version__}")

@@ -2,8 +2,29 @@
 
 The cleaning is parsing-free: no templates are mined, only a fixed inventory
 of regular expressions and placeholder words is applied. Output text is
-lowercase, whitespace-collapsed, and contains no digits (numeric content is
-abstracted into placeholder words).
+lowercase, whitespace-collapsed, and holds no decimal digit (Unicode Nd, what
+`\\d` and `str.isdecimal` match): numeric content is abstracted into
+placeholder words. Other numeric characters, such as `²` or `½`, pass through.
+
+Cleaning runs in two stages. The line stage removes timestamps, the only
+patterns that may match whitespace, and splits what is left into whitespace
+tokens. The token stage then transforms each token on its own: compound
+splitting, paths, addresses, numbers, embedded digits and lowercasing, in that
+order. This gives the same text and counts as running every pass over the
+whole line, because of one rule that every token-stage pattern keeps:
+
+    it matches no whitespace, and its lookarounds treat a space exactly as
+    they treat the edge of the string.
+
+`str.lower`'s final-sigma rule stops at whitespace too. A new token-stage
+pattern that breaks the rule belongs in the line stage.
+
+Each pass runs only when the text it runs on holds a literal the pattern
+cannot match without (a digit, `:`, `/`, ...). Each stage tests for a digit
+once, on its input as it came in: substitutions insert only spaces and
+lowercase placeholder words, so they never add a literal that a later
+pattern needs. A token of lowercase letters alone cannot match any pattern
+and passes through.
 """
 
 from __future__ import annotations
@@ -27,6 +48,16 @@ _TIMESTAMP_RES = (
     re.compile(r"(?<![\d.-])\d{4}[-/]\d{2}[-/]\d{2}(?![\d.-])"),  # bare date
     re.compile(r"(?<![\d:.])\d{1,2}:\d{2}:\d{2}(?:[.,]\d+)?(?![\d:])"),  # time of day
 )
+# Per timestamp pattern, in the same order: the literals it cannot match
+# without, tested on the text it runs on. Every pattern also needs a digit.
+_TIMESTAMP_GUARDS = (
+    lambda text: "-" in text and "." in text,  # dotted datetime
+    lambda text: "-" in text and ":" in text,  # ISO datetime
+    lambda text: ":" in text,  # syslog
+    lambda text: True,  # epoch seconds
+    lambda text: "-" in text or "/" in text,  # bare date
+    lambda text: ":" in text,  # time of day
+)
 
 # Placeholder words: lowercase single tokens, pairwise distinct.
 PATH_WORD = "filepath"
@@ -38,9 +69,9 @@ ADDRESS_WORD = "address"
 # path start.
 _PATH_RE = re.compile(r"(?:[A-Za-z]:\\[\w\\.\-+~%]+|(?<![\w.:])~?(?:/[\w.\-+~%@]+)+/?)")
 
-_ADDRESS_RES = (
-    re.compile(r"(?<![\w.])(?:\d{1,3}\.){3}\d{1,3}(?::\d{1,5})?(?:/\d{1,2})?(?![\w.])"),  # IPv4
-    re.compile(r"0[xX][0-9a-fA-F]+"),  # hex literal / memory address
+_IPV4_RE = re.compile(r"(?<![\w.])(?:\d{1,3}\.){3}\d{1,3}(?::\d{1,5})?(?:/\d{1,2})?(?![\w.])")
+_HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+")  # hex literal / memory address
+_COLON_ADDRESS_RES = (
     re.compile(r"(?<![\w:])(?:[0-9a-fA-F]{2}:){5}[0-9a-fA-F]{2}(?![\w:])"),  # MAC
     re.compile(r"(?<![\w:])(?:[0-9a-fA-F]{1,4}:){2,7}[0-9a-fA-F]{1,4}(?![\w:])"),  # IPv6-like
 )
@@ -53,7 +84,7 @@ _EMBEDDED_DIGITS_RE = re.compile(r"\d+(?:\.\d+)*")
 
 _UPPER_RUN_RE = re.compile(r"([A-Z]+)([A-Z][a-z])")
 _CASE_FLIP_RE = re.compile(r"([a-z0-9])([A-Z])")
-_WS_RE = re.compile(r"\s+")
+_DIGIT_RE = re.compile(r"\d")
 
 
 @dataclass(frozen=True)
@@ -95,12 +126,14 @@ class CleanReport:
         }
 
 
-def _strip_timestamps(text: str) -> tuple[str, int]:
-    n_total = 0
-    for rx in _TIMESTAMP_RES:
-        text, n = rx.subn(" ", text)
-        n_total += n
-    return _WS_RE.sub(" ", text).strip(), n_total
+def _timestamp_tokens(text: str, report: CleanReport) -> list[str]:
+    """The line stage: remove timestamps, then split into whitespace tokens."""
+    if _DIGIT_RE.search(text):  # every timestamp pattern needs one
+        for rx, guard in zip(_TIMESTAMP_RES, _TIMESTAMP_GUARDS):
+            if guard(text):
+                text, n = rx.subn(" ", text)
+                report.n_timestamps += n
+    return text.split()
 
 
 def strip_timestamps(text: str) -> str:
@@ -109,7 +142,7 @@ def strip_timestamps(text: str) -> str:
     Surrounding whitespace is collapsed to a single space; text without
     timestamps passes through unchanged (modulo whitespace collapsing).
     """
-    return _strip_timestamps(text)[0]
+    return " ".join(_timestamp_tokens(text, CleanReport()))
 
 
 def split_compound(text: str) -> str:
@@ -124,16 +157,28 @@ def split_compound(text: str) -> str:
     return _CASE_FLIP_RE.sub(r"\1 \2", text)
 
 
-def _replace_placeholders(text: str) -> tuple[str, int, int, int]:
-    text, n_paths = _PATH_RE.subn(PATH_WORD, text)
-    n_addr = 0
-    for rx in _ADDRESS_RES:
-        text, n = rx.subn(ADDRESS_WORD, text)
-        n_addr += n
-    text, n_num = _NUMBER_RE.subn(NUMBER_WORD, text)
-    # Any token still carrying digits sheds them as separate number tokens.
-    text, n_emb = _EMBEDDED_DIGITS_RE.subn(f" {NUMBER_WORD} ", text)
-    return _WS_RE.sub(" ", text).strip(), n_paths, n_addr, n_num + n_emb
+def _placeholders(token: str, report: CleanReport) -> str:
+    """Paths, then addresses, then numbers in one whitespace token; may add spaces."""
+    digit = _DIGIT_RE.search(token) is not None
+    if "/" in token or "\\" in token:
+        token, n = _PATH_RE.subn(PATH_WORD, token)
+        report.n_paths += n
+    if digit and "." in token:
+        token, n = _IPV4_RE.subn(ADDRESS_WORD, token)
+        report.n_addresses += n
+    if "0x" in token or "0X" in token:
+        token, n = _HEX_RE.subn(ADDRESS_WORD, token)
+        report.n_addresses += n
+    if ":" in token:
+        for rx in _COLON_ADDRESS_RES:
+            token, n = rx.subn(ADDRESS_WORD, token)
+            report.n_addresses += n
+    if digit:
+        token, n = _NUMBER_RE.subn(NUMBER_WORD, token)
+        # Any token still carrying digits sheds them as separate number tokens.
+        token, n_emb = _EMBEDDED_DIGITS_RE.subn(f" {NUMBER_WORD} ", token)
+        report.n_numbers += n + n_emb
+    return token
 
 
 def replace_placeholders(text: str) -> str:
@@ -142,7 +187,22 @@ def replace_placeholders(text: str) -> str:
     Replacement order is paths, then addresses, then numbers, so digits
     inside a path or address never leak out as a number placeholder.
     """
-    return _replace_placeholders(text)[0]
+    report = CleanReport()
+    return " ".join(word for token in text.split() for word in _placeholders(token, report).split())
+
+
+def _clean_tokens(tokens: list[str], report: CleanReport) -> list[str]:
+    """The token stage: compound splitting, placeholders and lowercasing, token by token."""
+    words: list[str] = []
+    for token in tokens:
+        lowered = token.lower()
+        if lowered == token and token.isalpha():
+            words.append(token)
+            continue
+        if lowered != token:  # only a token with a capital letter can split
+            token = split_compound(token)
+        words.extend(_placeholders(token, report).lower().split())
+    return words
 
 
 def normalize(raw: RawLog) -> CleanLog:
@@ -156,16 +216,10 @@ def normalize(raw: RawLog) -> CleanLog:
 
 
 def _normalize_counted(raw: RawLog, report: CleanReport) -> tuple[CleanLog, CleanReport]:
-    text, n_ts = _strip_timestamps(raw.text)
-    text, n_p, n_a, n_n = _replace_placeholders(split_compound(text))
-    text = _WS_RE.sub(" ", text.lower()).strip()
-    report.n_timestamps += n_ts
-    report.n_paths += n_p
-    report.n_addresses += n_a
-    report.n_numbers += n_n
-    if not text:
+    words = _clean_tokens(_timestamp_tokens(raw.text, report), report)
+    if not words:
         raise EmptyAfterCleaning(f"log {raw.source_id}:{raw.line_no} reduced to zero tokens")
-    return CleanLog(text=text, raw_ref=(raw.source_id, raw.line_no)), report
+    return CleanLog(text=" ".join(words), raw_ref=(raw.source_id, raw.line_no)), report
 
 
 def clean_lines(lines, source_id: str = "") -> tuple[list[CleanLog], CleanReport]:

@@ -620,6 +620,15 @@ BAD_INPUTS = {
     "score-threads-negative": ("ConfigInvalid", lambda r, t: [
         "score", "--in", r["val"], "--vocab", r["vocab"], "--checkpoint", r["ckpt"], "--out", t / "s.tsv",
         "--threads", -3]),
+    "score-of-an-empty-file": ("EmptyCorpus", lambda r, t: [
+        "score", "--in", _write(t / "empty.txt", ""), "--vocab", r["vocab"], "--checkpoint", r["ckpt"],
+        "--out", t / "s.tsv"]),
+    "ablate-masking-repeated-strategy": ("ConfigInvalid", lambda r, t: [
+        "ablate-masking", "--checkpoint", t / "never-read.ckpt", "--vocab", r["vocab"], "--val", r["val"],
+        "--test", r["test"], "--out", t / "grid.tsv", "--strategies", "token,random,random0.15"]),
+    "ablate-masking-repeated-percentile": ("ConfigInvalid", lambda r, t: [
+        "ablate-masking", "--checkpoint", t / "never-read.ckpt", "--vocab", r["vocab"], "--val", r["val"],
+        "--test", r["test"], "--out", t / "grid.tsv", "--percentiles", "90,95,90.0"]),
 }
 
 
@@ -631,6 +640,23 @@ def test_bad_input_gives_one_typed_json_error_line(case, small_run, tmp_path, ca
     assert rc == 2
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == expected
+
+
+def test_score_of_an_empty_file_writes_nothing(small_run, tmp_path, capsys):
+    _, make_argv = BAD_INPUTS["score-of-an-empty-file"]
+    assert main([str(a) for a in make_argv(small_run, tmp_path)]) == 2
+    assert not (tmp_path / "s.tsv").exists()
+
+
+@pytest.mark.parametrize("case, option, value", [
+    ("ablate-masking-repeated-strategy", "--strategies", "'random0.15'"),
+    ("ablate-masking-repeated-percentile", "--percentiles", "90.0"),
+])
+def test_ablate_masking_names_the_repeated_value(small_run, tmp_path, capsys, case, option, value):
+    _, make_argv = BAD_INPUTS[case]
+    assert main([str(a) for a in make_argv(small_run, tmp_path)]) == 2
+    message = json.loads(capsys.readouterr().err.strip())["message"]
+    assert option in message and value in message
 
 
 # Every settable value of each command, as its flag name; `--config` aside.

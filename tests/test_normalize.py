@@ -1,9 +1,21 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from masklog.corpus import synthesize
 from masklog.errors import EmptyAfterCleaning
 from masklog.normalize import (
+    _CASE_FLIP_RE,
+    _COLON_ADDRESS_RES,
+    _EMBEDDED_DIGITS_RE,
+    _HEX_RE,
+    _IPV4_RE,
+    _NUMBER_RE,
+    _PATH_RE,
+    _TIMESTAMP_RES,
+    _UPPER_RUN_RE,
     ADDRESS_WORD,
     NUMBER_WORD,
     PATH_WORD,
@@ -14,6 +26,60 @@ from masklog.normalize import (
     split_compound,
     strip_timestamps,
 )
+
+
+# ---------------------------------------------------------------------------
+# Reference: every pass over the whole line, unguarded, in the order the
+# cleaner applies them. The two-stage cleaner must give the same text, counts
+# and dropped lines for every input.
+
+_WS_RE = re.compile(r"\s+")
+
+
+def _reference_timestamps(text: str) -> tuple[str, int]:
+    n_total = 0
+    for rx in _TIMESTAMP_RES:
+        text, n = rx.subn(" ", text)
+        n_total += n
+    return _WS_RE.sub(" ", text).strip(), n_total
+
+
+def _reference_placeholders(text: str) -> tuple[str, int, int, int]:
+    text, n_paths = _PATH_RE.subn(PATH_WORD, text)
+    n_addr = 0
+    for rx in (_IPV4_RE, _HEX_RE, *_COLON_ADDRESS_RES):
+        text, n = rx.subn(ADDRESS_WORD, text)
+        n_addr += n
+    text, n_num = _NUMBER_RE.subn(NUMBER_WORD, text)
+    text, n_emb = _EMBEDDED_DIGITS_RE.subn(f" {NUMBER_WORD} ", text)
+    return _WS_RE.sub(" ", text).strip(), n_paths, n_addr, n_num + n_emb
+
+
+def _reference_normalize(text: str) -> tuple[str, list[int]]:
+    """(cleaned text, [timestamps, paths, addresses, numbers]) for one raw line."""
+    text, n_ts = _reference_timestamps(text)
+    text = _CASE_FLIP_RE.sub(r"\1 \2", _UPPER_RUN_RE.sub(r"\1 \2", text))
+    text, *counts = _reference_placeholders(text)
+    return _WS_RE.sub(" ", text.lower()).strip(), [n_ts, *counts]
+
+
+def _reference_clean_lines(lines, source_id: str = "") -> tuple:
+    texts, refs, dropped, counts = [], [], [], [0, 0, 0, 0]
+    for i, line in enumerate(lines):
+        text, line_counts = _reference_normalize(line.rstrip("\r\n"))
+        counts = [a + b for a, b in zip(counts, line_counts)]
+        if text:
+            texts.append(text)
+            refs.append((source_id, i))
+        else:
+            dropped.append(i)
+    return texts, refs, dropped, counts
+
+
+def _observed(lines, source_id: str = "") -> tuple:
+    cleaned, report = clean_lines(lines, source_id=source_id)
+    counts = [report.n_timestamps, report.n_paths, report.n_addresses, report.n_numbers]
+    return [c.text for c in cleaned], [c.raw_ref for c in cleaned], report.dropped_line_nos, counts
 
 
 class TestStripTimestamps:
@@ -171,3 +237,91 @@ class TestCleanLines:
         assert report.n_addresses == 1
         assert report.n_numbers == 1
         assert cleaned[1].raw_ref == ("x.log", 2)
+
+
+# ---------------------------------------------------------------------------
+# The two-stage cleaner against the whole-line reference
+
+
+# Characters and fragments that reach every guard, every pattern and the
+# whitespace and casing corner cases: Unicode digits (٣), a digit that is no
+# decimal (²), final sigma, and whitespace that is not a space.
+ADVERSARIAL = [
+    *"abxyzXYZ019-:/.\\~@%+_eE ,T",
+    "٣", "²", "½", "Σ", "\t", "\u00a0", "\x1c", "\u2028",
+    "Jan ", "Tue ", "2005-06-09", "2005-06-09-14.53.14.219998", "14:53:14", "1117838570",
+    "0XAB", "0x1f", "fe80::1", "aa:bb:cc:dd:ee:ff", "10.0.0.1", "C:\\x", "/var/log", "ciod2Fail",
+    "RASKernel", "ΣΑΣ", "3.2e-5",
+]
+
+
+ADVERSARIAL_LINE = st.lists(st.sampled_from(ADVERSARIAL), max_size=14).map("".join)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(ADVERSARIAL_LINE, max_size=4))
+def test_clean_lines_equals_the_whole_line_reference(lines):
+    assert _observed(lines, "a.log") == _reference_clean_lines(lines, "a.log")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ADVERSARIAL_LINE)
+def test_public_passes_equal_the_whole_line_reference(text):
+    assert strip_timestamps(text) == _reference_timestamps(text)[0]
+    assert replace_placeholders(text) == _reference_placeholders(text)[0]
+
+
+def test_fixture_raw_log_equals_the_whole_line_reference():
+    lines = synthesize(50, 5000, 200, seed=7).lines  # the pinned fixture's raw log
+    assert _observed(lines, "raw.log") == _reference_clean_lines(lines, "raw.log")
+
+
+# One case per guard: each line holds the literal the guard looks for, but
+# the guarded pattern does not match (or, where noted, does), so a guard that
+# skips too much or a stage that runs a pattern out of order changes the
+# result.
+GUARD_CASES = {
+    "line-digit": "no digits at all: Jan - . : /",
+    "dotted-datetime": "a-b.c 2005-06-09-14.53 x",
+    "iso-datetime": "x-y 14:53 2005-06-09T14:53",
+    "syslog": "Jan x:y 9 14:53",
+    "epoch": "3117838570 11178385701 1117838570.x",
+    "bare-date": "a-b/c 2005-6-09 2005/06/091",
+    "time-of-day": "x:y 1:2:3 14:53:14:1",
+    "timestamp-then-token": "Jan 9 14:53:14 2005 rest",
+    "lowercase-word": "ab éé σς",
+    "compound-capital": "ABC Éa aΣ R27",
+    "path": "a/b a\\b http://h/x 1/2",
+    "ipv4": "1.x a.1 1.2.3 v1.2.3.4",
+    "hex": "0xg 0X 0xAB",
+    "colon-address": "x:y a:b:c 12:34 fe80::1 aa:bb:cc:dd:ee:ff:00",
+    "number": "a1 1a +1 -2.5e3 1.2.",
+    "embedded-digits": "ab12cd r27-m0 x٣y",
+}
+
+
+@pytest.mark.parametrize("line", GUARD_CASES.values(), ids=GUARD_CASES.keys())
+def test_guard_case_equals_the_whole_line_reference(line):
+    assert _observed([line]) == _reference_clean_lines([line])
+
+
+def test_uppercase_hex_guard():
+    # In a full cleaning pass compound splitting turns "0XAB" into "0 XAB"
+    # first, so only replace_placeholders reaches the "0X" guard.
+    assert replace_placeholders("0XAB 0X 0Xg") == _reference_placeholders("0XAB 0X 0Xg")[0] == "address float X float Xg"
+
+
+class TestDigitInvariant:
+    """Cleaned text holds no decimal digit (Unicode Nd); other numeric characters pass through."""
+
+    def test_decimal_digits_of_any_script_become_numbers(self):
+        assert normalize(RawLog("a ٣٤ b")).text == "a float b"
+
+    def test_other_numeric_characters_pass_through(self):
+        assert "²".isdigit() and not "²".isdecimal()
+        assert normalize(RawLog("x² y")).text == "x² y"
+        assert normalize(RawLog("½ cup")).text == "½ cup"
+
+    def test_no_decimal_digit_survives(self):
+        raw = RawLog("core.2005 R27 val=42 ip 10.1.2.3 id 0xdead x9y ٣x x²")
+        assert not any(ch.isdecimal() for ch in normalize(raw).text)
