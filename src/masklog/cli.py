@@ -17,10 +17,11 @@ import os
 import struct
 import sys
 import time
+import warnings
 
 from . import __version__
 from .atomic import atomic_open, write_json
-from .calibrate import Threshold, select_threshold
+from .calibrate import Threshold, check_percentile, select_threshold
 from .corpus import (
     LABEL_ANOMALOUS,
     dedupe,
@@ -47,20 +48,17 @@ from .errors import (
     MalformedInput,
     MasklogError,
     MissingInput,
+    NonFiniteActivation,
     VocabMismatch,
 )
 from .manifest import digest_map, file_digest, load_manifest, verify_inputs, write_manifest
-from .masking import TOKEN_BY_TOKEN, MaskingStrategy
+from .masking import MaskingStrategy
 from .model import ModelConfig
 from .normalize import CleanLog, clean_lines
 from .score import heatmap as compute_heatmap
 from .score import score_corpus
-from .train import TrainConfig, load_checkpoint, save_checkpoint, train
+from .train import TrainConfig, format_float, load_checkpoint, save_checkpoint, train
 from .vocab import build_vocab, encode, load_vocab, save_vocab
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _require(opts, *keys) -> None:
@@ -81,7 +79,7 @@ def _load_clean_seqs(path, vocab, max_len, labeled=False):
     seqs = [
         encode(CleanLog(text=t, raw_ref=(name, i)), vocab, max_len) for i, t in enumerate(texts)
     ]
-    return texts, seqs, labels
+    return seqs, labels
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +95,7 @@ GRID_COLUMNS = {
 
 
 def _cell(value) -> str:
-    return _fmt(value) if isinstance(value, float) else str(value)
+    return format_float(value) if isinstance(value, float) else str(value)
 
 
 def write_table(path, columns, rows, meta: dict | None = None) -> None:
@@ -203,7 +201,7 @@ def write_heatmap(path, hm) -> None:
             }
             for i in range(n_rows)
         ],
-        "summary": {k: [_fmt(v) if v == v else "NA" for v in vals] for k, vals in hm.summary.items()},
+        "summary": {k: [format_float(v) if v == v else "NA" for v in vals] for k, vals in hm.summary.items()},
     }
     write_json(str(path) + ".rows.json", sidecar)
 
@@ -301,7 +299,7 @@ def run_train(opts):
     vocab = load_vocab(opts["vocab"])
     dims = {k: opts[k] for k in ("d_model", "n_heads", "n_layers", "d_ff", "max_len")}
     model_cfg = ModelConfig(vocab_size=len(vocab), **dims)
-    _, seqs, _ = _load_clean_seqs(opts["in_"], vocab, opts["max_len"])
+    seqs, _ = _load_clean_seqs(opts["in_"], vocab, opts["max_len"])
     ckpt = train(seqs, model_cfg, train_cfg, vocab_hash=vocab.digest())
     save_checkpoint(ckpt, opts["out"])
     log_path = opts.get("log") or opts["out"] + ".log.tsv"
@@ -337,25 +335,20 @@ def _checkpoint_and_vocab(opts):
 
 def run_score(opts):
     _require(opts, "in_", "out")
-    strategy = MaskingStrategy.parse(opts["mask_strategy"])
-    if strategy.kind == TOKEN_BY_TOKEN and opts["repeats"] != 1:
-        raise ConfigInvalid(f"repeats must be 1 with mask strategy token, which masks each position once, "
-                            f"not {opts['repeats']!r}")
+    strategy = opts["mask_strategy"]
     ckpt, vocab = _checkpoint_and_vocab(opts)
-    _, seqs, _ = _load_clean_seqs(
+    seqs, _ = _load_clean_seqs(
         opts["in_"], vocab, ckpt.model_config.max_len, labeled=opts.get("labeled", False)
     )
     if not seqs:
         raise EmptyCorpus(f"{opts['in_']} holds no log to score")
-    reports = score_corpus(
-        ckpt, seqs, strategy, seed=opts["seed"], repeats=opts["repeats"], threads=opts["threads"]
-    )
+    reports = score_corpus(ckpt, seqs, strategy, seed=opts["seed"], threads=opts["threads"])
     meta = {
         "checkpoint": ckpt.digest(),
         "vocab": vocab.digest(),
         "input": file_digest(opts["in_"]),  # sha256 of the scored file, checked by eval
         "strategy": strategy.describe(),
-        "repeats": opts["repeats"],
+        "repeats": strategy.repeats,
         "seed": opts["seed"],
     }
     rows = [(*r.raw_ref, r.score, r.masked_count, r.strategy.describe()) for r in reports]
@@ -373,15 +366,11 @@ def _header_repeats(path, meta) -> int:
 def run_calibrate(opts):
     _require(opts, "scores", "out")
     meta, rows = read_scores(opts["scores"])
-    t = select_threshold(
-        [r["score"] for r in rows],
-        percentile=opts["percentile"],
-        checkpoint_hash=meta.get("checkpoint", ""),
-        vocab_hash=meta.get("vocab", ""),
-        strategy=meta.get("strategy", ""),
-        repeats=_header_repeats(opts["scores"], meta),
-    )
-    write_threshold(opts["out"], t)
+    repeats = _header_repeats(opts["scores"], meta)
+    t = select_threshold([r["score"] for r in rows], percentile=opts["percentile"])
+    write_threshold(opts["out"], dataclasses.replace(  # the provenance that detect checks scores against
+        t, checkpoint_hash=meta.get("checkpoint", ""), vocab_hash=meta.get("vocab", ""),
+        strategy=meta.get("strategy", ""), repeats=repeats))
     return [opts["scores"]], [opts["out"]], []
 
 
@@ -446,34 +435,16 @@ def _ablation_inputs(opts):
     _require(opts, "val", "test", "out")
     ckpt, vocab = _checkpoint_and_vocab(opts)
     max_len = ckpt.model_config.max_len
-    _, val_seqs, _ = _load_clean_seqs(opts["val"], vocab, max_len)
-    _, test_seqs, test_labels = _load_clean_seqs(opts["test"], vocab, max_len, labeled=True)
+    val_seqs, _ = _load_clean_seqs(opts["val"], vocab, max_len)
+    test_seqs, test_labels = _load_clean_seqs(opts["test"], vocab, max_len, labeled=True)
     inputs = [opts["val"], opts["test"], opts["vocab"], opts["checkpoint"]]
     return ckpt, val_seqs, test_seqs, test_labels, inputs
 
 
 def run_ablate_masking(opts):
-    strategies = [s.strip() for s in str(opts["strategies"]).split(",") if s.strip()]
-    percentiles = [float(p) for p in str(opts["percentiles"]).split(",") if p.strip()]
-    for name, values in (
-        ("strategies", [MaskingStrategy.parse(s).describe() for s in strategies]),
-        ("percentiles", percentiles),
-    ):
-        if not values:
-            raise ConfigInvalid(f"--{name} names no value")
-        repeated = [v for i, v in enumerate(values) if v in values[:i]]
-        if repeated:
-            raise ConfigInvalid(f"--{name} names {repeated[0]!r} more than once")
     ckpt, val_seqs, test_seqs, test_labels, inputs = _ablation_inputs(opts)
     cells = ablate_masking(
-        ckpt,
-        val_seqs,
-        test_seqs,
-        test_labels,
-        strategies,
-        percentiles,
-        seed=opts["seed"],
-        repeats=opts["repeats"],
+        ckpt, val_seqs, test_seqs, test_labels, opts["strategies"], opts["percentiles"], seed=opts["seed"]
     )
     write_grid(opts["out"], cells)
     return inputs, [opts["out"]], []
@@ -482,13 +453,8 @@ def run_ablate_masking(opts):
 def run_ablate_finetune(opts):
     ckpt, val_seqs, test_seqs, test_labels, inputs = _ablation_inputs(opts)
     result = ablate_finetune(
-        ckpt,
-        val_seqs,
-        test_seqs,
-        test_labels,
-        percentile=opts["percentile"],
-        strategy=MaskingStrategy.parse(opts["mask_strategy"]),
-        seed=opts["seed"],
+        ckpt, val_seqs, test_seqs, test_labels,
+        percentile=opts["percentile"], strategy=opts["mask_strategy"], seed=opts["seed"],
     )
     doc = {
         "trained": dataclasses.asdict(result.trained),
@@ -504,7 +470,7 @@ def run_ablate_finetune(opts):
 def run_heatmap(opts):
     _require(opts, "in_", "out")
     ckpt, vocab = _checkpoint_and_vocab(opts)
-    _, seqs, labels = _load_clean_seqs(
+    seqs, labels = _load_clean_seqs(
         opts["in_"], vocab, ckpt.model_config.max_len, labeled=opts.get("labeled", False)
     )
     hm = compute_heatmap(ckpt, seqs, labels=labels)
@@ -662,8 +628,8 @@ def _build_parser() -> argparse.ArgumentParser:
 _OPTION_TYPES = {type(None): (str, type(None)), bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
-def _options(name: str, given: dict) -> dict:
-    """The command's defaults updated by `given`; an unknown key or a value of another type is refused."""
+def _options(name: str, given: dict) -> tuple[dict, dict]:
+    """(defaults updated by `given`, `_built` of them); an unknown key or a value of another type is refused."""
     cmd = _COMMANDS[name]
     opts = {**dict.fromkeys(cmd["paths"]), **cmd["defaults"]}
     for key, value in given.items():
@@ -672,10 +638,46 @@ def _options(name: str, given: dict) -> dict:
         if type(value) not in _OPTION_TYPES[type(opts[key])]:  # exact types: a bool is no int here
             raise ConfigInvalid(f"config key {key!r} for {name} must be like {opts[key]!r}, not {value!r}")
     opts.update(given)
-    return opts
+    return opts, _built(opts)
 
 
-def _merge_options(name: str, ns: argparse.Namespace) -> dict:
+def _setting(key: str, text, repeats: int = 1):
+    """A masking strategy that carries `repeats`, or a checked percentile; a refusal names its option."""
+    option = key.replace("_", "-")
+    try:
+        if key.startswith("percentile"):
+            return check_percentile(float(text))
+        strategy = MaskingStrategy.parse(text)
+        option = "repeats"
+        return dataclasses.replace(strategy, repeats=repeats)
+    except ValueError as e:
+        raise ConfigInvalid(f"--{option}: {e}") from None
+
+
+def _built(opts: dict) -> dict:
+    """`opts` as the runner takes them: each masking strategy and percentile built and checked.
+
+    No file is read here. `mask_strategy` becomes a `MaskingStrategy`, and
+    `strategies` and `percentiles` become lists of distinct values.
+    """
+    built, repeats = dict(opts), opts.get("repeats", 1)
+    if "mask_strategy" in opts:
+        built["mask_strategy"] = _setting("mask_strategy", opts["mask_strategy"], repeats)
+    if "percentile" in opts:
+        _setting("percentile", opts["percentile"])
+    for key in ("strategies", "percentiles"):
+        if key in opts:
+            values = [_setting(key, text, repeats) for text in opts[key].split(",") if text.strip()]
+            names = [v.describe() if key == "strategies" else v for v in values]
+            repeated = [n for i, n in enumerate(names) if n in names[:i]]
+            if repeated or not values:
+                raise ConfigInvalid(f"--{key} names {repeated[0]!r} more than once" if repeated
+                                    else f"--{key} names no value")
+            built[key] = values
+    return built
+
+
+def _merge_options(name: str, ns: argparse.Namespace) -> tuple[dict, dict]:
     given = {}
     if ns.config:
         with open(ns.config, "r", encoding="utf-8") as f:
@@ -689,10 +691,10 @@ def _merge_options(name: str, ns: argparse.Namespace) -> dict:
     return _options(name, {**given, **flags})
 
 
-def _execute(name: str, opts: dict) -> dict:
+def _execute(name: str, opts: dict, built: dict) -> dict:
+    """Run the command on its built options; the manifest records the options as given."""
     started = time.time()
-    runner = _COMMANDS[name]["runner"]
-    inputs, outputs, logs = runner(opts)
+    inputs, outputs, logs = _COMMANDS[name]["runner"](built)
     return write_manifest(
         command=name,
         options=opts,
@@ -709,8 +711,9 @@ def run_rerun(manifest_path: str) -> dict:
     name = doc.get("command")
     if name not in _COMMANDS:
         raise ConfigInvalid(f"manifest names unknown command {name!r}")
+    opts, built = _options(name, doc["options"])
     verify_inputs(doc)
-    return _execute(name, _options(name, doc["options"]))
+    return _execute(name, opts, built)
 
 
 def _typed(error: Exception) -> MasklogError:
@@ -721,17 +724,21 @@ def _typed(error: Exception) -> MasklogError:
         return MalformedInput(str(error))
     if isinstance(error, ValueError):
         return ConfigInvalid(str(error))
+    if isinstance(error, RuntimeWarning):  # numpy's overflow or invalid value: a non-finite on its way
+        return NonFiniteActivation(f"numpy warned: {error}")
     return MissingInput(str(error))
 
 
 def main(argv=None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
-        if ns.command == "rerun":
-            run_rerun(ns.manifest)
-        else:
-            _execute(ns.command, _merge_options(ns.command, ns))
-    except (MasklogError, ValueError, struct.error, OSError) as e:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # raised here, so reported as one typed line
+            ns = _build_parser().parse_args(argv)
+            if ns.command == "rerun":
+                run_rerun(ns.manifest)
+            else:
+                _execute(ns.command, *_merge_options(ns.command, ns))
+    except (MasklogError, ValueError, struct.error, OSError, RuntimeWarning) as e:
         error = _typed(e)
         print(json.dumps({"error": type(error).__name__, "message": str(error)}), file=sys.stderr)
         return 2

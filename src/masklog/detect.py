@@ -95,49 +95,36 @@ class AblationCell:
     metrics: MetricsReport
 
 
-def percentile_grid(
-    cal_scores, test_reports, truth, percentiles, checkpoint_hash: str = "", strategy: str = ""
-) -> list[AblationCell]:
+def percentile_grid(cal_scores, test_reports, truth, percentiles, strategy: str = "") -> list[AblationCell]:
     """Metrics of the test reports at each percentile threshold, calibrated on normal scores only."""
     cells = []
     for p in percentiles:
-        t = select_threshold(cal_scores, p, checkpoint_hash=checkpoint_hash, strategy=strategy)
+        t = select_threshold(cal_scores, p)
         predicted = [verdict_label(r.score, t.value) for r in test_reports]
         cells.append(AblationCell(strategy, float(p), t.value, metrics(predicted, truth)))
     return cells
 
 
-def _score_partitions(ckpt, val_seqs, test_seqs, strategy, seed, repeats):
+def _score_partitions(ckpt, val_seqs, test_seqs, strategy, seed):
     """Calibration scores of the normal val logs, and the test reports, under one strategy."""
-    val = score_corpus(ckpt, val_seqs, strategy, seed=seed, repeats=repeats)
-    test = score_corpus(ckpt, test_seqs, strategy, seed=seed, repeats=repeats)
+    val = score_corpus(ckpt, val_seqs, strategy, seed=seed)
+    test = score_corpus(ckpt, test_seqs, strategy, seed=seed)
     return [r.score for r in val], test
 
 
 def ablate_masking(
-    ckpt: Checkpoint,
-    val_seqs,
-    test_seqs,
-    test_labels,
-    strategies,
-    percentiles,
-    seed: int = 0,
-    repeats: int = 1,
+    ckpt: Checkpoint, val_seqs, test_seqs, test_labels, strategies, percentiles, seed: int = 0
 ) -> list[AblationCell]:
     """Full strategies x percentiles grid; every cell recalibrates its own threshold.
 
-    Scores are computed once per strategy and reused across percentiles, which
-    matches running each cell standalone because thresholding is downstream of
-    scoring.
+    Each `MaskingStrategy` carries its own repeats. Scores are computed once
+    per strategy and reused across percentiles, which matches running each
+    cell standalone because thresholding is downstream of scoring.
     """
     cells = []
     for strategy in strategies:
-        if isinstance(strategy, str):
-            strategy = MaskingStrategy.parse(strategy)
-        val_scores, test_reports = _score_partitions(ckpt, val_seqs, test_seqs, strategy, seed, repeats)
-        cells += percentile_grid(
-            val_scores, test_reports, test_labels, percentiles, ckpt.digest(), strategy.describe()
-        )
+        val_scores, test_reports = _score_partitions(ckpt, val_seqs, test_seqs, strategy, seed)
+        cells += percentile_grid(val_scores, test_reports, test_labels, percentiles, strategy.describe())
     return cells
 
 
@@ -150,8 +137,8 @@ class FinetuneAblation:
 
 
 def _run_detection(ckpt, val_seqs, test_seqs, truth, strategy, percentile, seed):
-    val_scores, reports = _score_partitions(ckpt, val_seqs, test_seqs, strategy, seed, 1)
-    (cell,) = percentile_grid(val_scores, reports, truth, [percentile], ckpt.digest(), strategy.describe())
+    val_scores, reports = _score_partitions(ckpt, val_seqs, test_seqs, strategy, seed)
+    (cell,) = percentile_grid(val_scores, reports, truth, [percentile], strategy.describe())
     return cell.metrics, sum(val_scores) / len(val_scores)
 
 
@@ -161,11 +148,10 @@ def ablate_finetune(
     test_seqs,
     test_labels,
     percentile: float = 90.0,
-    strategy: MaskingStrategy | None = None,
+    strategy: MaskingStrategy = MaskingStrategy(),
     seed: int = 0,
 ) -> FinetuneAblation:
     """Same detection pipeline with the checkpoint's weights vs. the initial weights it trained from."""
-    strategy = strategy or MaskingStrategy()
     untrained = Checkpoint(
         params=init_params(ckpt.model_config, ckpt.train_config.seed),
         vocab_hash=ckpt.vocab_hash,

@@ -3,6 +3,9 @@
 Masked positions are always substituted with the mask token; there is no
 80/10/10 corruption mix. Content positions are the first `length` slots of a
 sequence (unknown-token stand-ins included; padding excluded).
+
+`MaskingStrategy` says how scoring masks a log, `repeats` included, and its
+constructor is the one check of it: both `score` and `ablate-masking` build one.
 """
 
 from __future__ import annotations
@@ -19,14 +22,26 @@ TOKEN_BY_TOKEN = "token_by_token"
 
 @dataclass(frozen=True)
 class MaskingStrategy:
+    """`repeats` seeded random plans per log, or one plan per position (token, so repeats 1)."""
+
     kind: str = RANDOM_FRACTION
     fraction: float = 0.15
+    repeats: int = 1
 
     def __post_init__(self):
         if self.kind not in (RANDOM_FRACTION, TOKEN_BY_TOKEN):
             raise ValueError(f"unknown masking kind {self.kind!r}")
         if not 0.0 < self.fraction <= 1.0:
-            raise ValueError("fraction must lie in (0, 1]")
+            raise ValueError(f"fraction must lie in (0, 1], not {self.fraction!r}")
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, not {self.repeats!r}")
+        if self.kind == TOKEN_BY_TOKEN and self.repeats != 1:
+            raise ValueError(f"repeats must be 1 with masking strategy token, which masks each position "
+                             f"once, not {self.repeats!r}")
+
+    def variants(self, length: int) -> int:
+        """Masked variants of a log of `length` content tokens."""
+        return length if self.kind == TOKEN_BY_TOKEN else self.repeats
 
     def describe(self) -> str:
         if self.kind == TOKEN_BY_TOKEN:
@@ -63,9 +78,7 @@ def _apply_mask(seq: TokenSequence, positions) -> MaskPlan:
     original = seq.ids[list(positions)].copy()
     masked_ids = seq.ids.copy()
     masked_ids[list(positions)] = MASK_ID
-    masked = TokenSequence(
-        ids=masked_ids, length=seq.length, raw_ref=seq.raw_ref, truncated=seq.truncated
-    )
+    masked = TokenSequence(ids=masked_ids, length=seq.length, raw_ref=seq.raw_ref)
     return MaskPlan(masked_indices=positions, original_ids=original, masked_sequence=masked)
 
 

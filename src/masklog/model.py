@@ -103,9 +103,6 @@ class Parameters:
     def items(self):
         return self.tensors.items()
 
-    def copy(self) -> "Parameters":
-        return Parameters(self.config, {k: v.copy() for k, v in self.tensors.items()})
-
 
 @dataclass(eq=False)
 class ForwardOutput:

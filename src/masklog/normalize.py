@@ -9,9 +9,10 @@ placeholder words. Other numeric characters, such as `²` or `½`, pass through.
 Cleaning runs in two stages. The line stage removes timestamps, the only
 patterns that may match whitespace, and splits what is left into whitespace
 tokens. The token stage then transforms each token on its own: compound
-splitting, paths, addresses, numbers, embedded digits and lowercasing, in that
-order. This gives the same text and counts as running every pass over the
-whole line, because of one rule that every token-stage pattern keeps:
+splitting (which leaves each hex literal whole), paths, addresses, numbers,
+embedded digits and lowercasing, in that order. This gives the same text and
+counts as running every pass over the whole line, because of one rule that
+every token-stage pattern keeps:
 
     it matches no whitespace, and its lookarounds treat a space exactly as
     they treat the edge of the string.
@@ -71,6 +72,7 @@ _PATH_RE = re.compile(r"(?:[A-Za-z]:\\[\w\\.\-+~%]+|(?<![\w.:])~?(?:/[\w.\-+~%@]
 
 _IPV4_RE = re.compile(r"(?<![\w.])(?:\d{1,3}\.){3}\d{1,3}(?::\d{1,5})?(?:/\d{1,2})?(?![\w.])")
 _HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+")  # hex literal / memory address
+_HEX_SPLIT_RE = re.compile(f"({_HEX_RE.pattern})")  # split() keeps each hex literal as a part
 _COLON_ADDRESS_RES = (
     re.compile(r"(?<![\w:])(?:[0-9a-fA-F]{2}:){5}[0-9a-fA-F]{2}(?![\w:])"),  # MAC
     re.compile(r"(?<![\w:])(?:[0-9a-fA-F]{1,4}:){2,7}[0-9a-fA-F]{1,4}(?![\w:])"),  # IPv6-like
@@ -151,10 +153,15 @@ def split_compound(text: str) -> str:
     A run of uppercase letters followed by a lowercase letter splits before
     its last capital ("RASKernel" -> "RAS Kernel"); a lowercase letter or
     digit followed by an uppercase letter splits between them
-    ("ciod2Fail" -> "ciod2 Fail"). Single-case tokens are left alone.
+    ("ciod2Fail" -> "ciod2 Fail"). Single-case tokens are left alone, and so
+    is each hex literal ("0x00544EB8"), which the address pass then replaces
+    whole.
     """
-    text = _UPPER_RUN_RE.sub(r"\1 \2", text)
-    return _CASE_FLIP_RE.sub(r"\1 \2", text)
+    parts = _HEX_SPLIT_RE.split(text) if "0x" in text or "0X" in text else [text]
+    return "".join(
+        part if i % 2 else _CASE_FLIP_RE.sub(r"\1 \2", _UPPER_RUN_RE.sub(r"\1 \2", part))
+        for i, part in enumerate(parts)
+    )
 
 
 def _placeholders(token: str, report: CleanReport) -> str:

@@ -1,11 +1,12 @@
 """Anomaly scoring: true-token probabilities under masking, aggregated per log.
 
 A log's score is the negative mean natural log of the probabilities the model
-assigns to the true tokens at masked positions. `score_corpus` groups logs by
-content length and scores each group in chunks of whole logs, one `forward`
-per chunk of at most CHUNK_ROWS token rows, so no chunk holds padding.
-`score_log` is the same code with a chunk of one log. Threads take whole
-chunks, so the thread count never changes a report.
+assigns to the true tokens at masked positions. The `MaskingStrategy` says
+how a log is masked, `repeats` included, and was checked when it was built.
+`score_corpus` groups logs by content length and scores each group in chunks
+of whole logs, one `forward` per chunk of at most CHUNK_ROWS token rows, so
+no chunk holds padding. `score_log` is the same code with a chunk of one log.
+Threads take whole chunks, so the thread count never changes a report.
 
 Each chunk is one call of `model.forward` in the scoring shape (no padding,
 the same masked count per variant), which runs the scoring forward. It runs
@@ -53,8 +54,7 @@ class ScoreReport:
     score: float
     masked_count: int
     token_probs: list  # (position, probability of the true token)
-    strategy: MaskingStrategy
-    repeats: int = 1
+    strategy: MaskingStrategy  # repeats included
 
 
 @dataclass(eq=False)
@@ -84,21 +84,15 @@ def _true_token_probs(ckpt: Checkpoint, plans) -> list:
     return [(pos, max(float(prob), PROB_FLOOR)) for pos, prob in zip(positions, probs)]
 
 
-def _check_at_least_one(name: str, value: int) -> None:
-    if value < 1:
-        raise ConfigInvalid(f"{name} must be >= 1, not {value!r}")
-
-
-def _plans(seq, strategy: MaskingStrategy, seed: int, repeats: int) -> list:
+def _plans(seq, strategy: MaskingStrategy, seed: int) -> list:
     if strategy.kind == TOKEN_BY_TOKEN:
         return plan_token_by_token(seq)
-    return [plan_random(seq, strategy.fraction, rng_seed=(int(seed), r)) for r in range(repeats)]
+    return [plan_random(seq, strategy.fraction, rng_seed=(int(seed), r)) for r in range(strategy.repeats)]
 
 
-def _score_chunk(ckpt: Checkpoint, seqs, seeds, strategy: MaskingStrategy, repeats: int) -> list[ScoreReport]:
+def _score_chunk(ckpt: Checkpoint, seqs, seeds, strategy: MaskingStrategy) -> list[ScoreReport]:
     """Reports for logs of one length, all of their masked variants in one forward."""
-    repeats = 1 if strategy.kind == TOKEN_BY_TOKEN else repeats
-    plans = [_plans(seq, strategy, seed, repeats) for seq, seed in zip(seqs, seeds)]
+    plans = [_plans(seq, strategy, seed) for seq, seed in zip(seqs, seeds)]
     pairs = _true_token_probs(ckpt, [p for log_plans in plans for p in log_plans])
     reports, start = [], 0
     for seq, log_plans in zip(seqs, plans):
@@ -110,29 +104,21 @@ def _score_chunk(ckpt: Checkpoint, seqs, seeds, strategy: MaskingStrategy, repea
             masked_count=n,
             token_probs=own,
             strategy=strategy,
-            repeats=repeats,
         ))
     return reports
 
 
-def score_log(
-    ckpt: Checkpoint,
-    seq,
-    strategy: MaskingStrategy,
-    seed: int = 0,
-    repeats: int = 1,
-) -> ScoreReport:
+def score_log(ckpt: Checkpoint, seq, strategy: MaskingStrategy, seed: int = 0) -> ScoreReport:
     """Score one log under the given masking strategy.
 
-    random_fraction draws `repeats` (at least 1) seeded plans and averages their scores;
-    token_by_token masks every content position in its own variant, so
-    token_probs covers the whole log.
+    random_fraction draws `strategy.repeats` seeded plans and averages their
+    scores; token_by_token masks every content position in its own variant,
+    so token_probs covers the whole log.
     """
-    _check_at_least_one("repeats", repeats)
-    return _score_chunk(ckpt, [seq], [seed], strategy, repeats)[0]
+    return _score_chunk(ckpt, [seq], [seed], strategy)[0]
 
 
-def _chunks(corpus, strategy: MaskingStrategy, repeats: int) -> list[list[int]]:
+def _chunks(corpus, strategy: MaskingStrategy) -> list[list[int]]:
     """Corpus indices in chunks of one content length and at most CHUNK_ROWS token rows.
 
     Input order is kept within a length. A log's variants are never split: a
@@ -143,19 +129,13 @@ def _chunks(corpus, strategy: MaskingStrategy, repeats: int) -> list[list[int]]:
         by_length.setdefault(int(seq.length), []).append(i)
     chunks = []
     for length, indices in by_length.items():
-        per_log = length if strategy.kind == TOKEN_BY_TOKEN else repeats
-        step = max(1, CHUNK_ROWS // (per_log * length))
+        step = max(1, CHUNK_ROWS // (strategy.variants(length) * length))
         chunks += [indices[k : k + step] for k in range(0, len(indices), step)]
     return chunks
 
 
 def score_corpus(
-    ckpt: Checkpoint,
-    corpus,
-    strategy: MaskingStrategy,
-    seed: int = 0,
-    repeats: int = 1,
-    threads: int = 1,
+    ckpt: Checkpoint, corpus, strategy: MaskingStrategy, seed: int = 0, threads: int = 1
 ) -> list[ScoreReport]:
     """Score logs, returned in input order; per-log seeds derive from (seed, index).
 
@@ -164,15 +144,15 @@ def score_corpus(
     elsewhere it may differ in the last bits. Threads take whole chunks, so
     any count gives the same reports.
     """
-    _check_at_least_one("repeats", repeats)
-    _check_at_least_one("threads", threads)
+    if threads < 1:
+        raise ConfigInvalid(f"threads must be >= 1, not {threads!r}")
     corpus = list(corpus)
 
     def run(chunk: list[int]) -> list[ScoreReport]:
         seeds = [derive_seed(seed, _STREAM_SCORE, i) for i in chunk]
-        return _score_chunk(ckpt, [corpus[i] for i in chunk], seeds, strategy, repeats)
+        return _score_chunk(ckpt, [corpus[i] for i in chunk], seeds, strategy)
 
-    chunks = _chunks(corpus, strategy, repeats)
+    chunks = _chunks(corpus, strategy)
     if threads > 1:
         ckpt.scoring_params()  # cast here, or each thread may build its own float64 copy
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -217,7 +217,9 @@ def train(corpus_train, model_cfg: ModelConfig, cfg: TrainConfig, vocab_hash: st
     Each epoch reshuffles the corpus and redraws one random mask plan per
     sequence (both seeded), then applies one optimizer step per batch. The
     recorded history is the mean loss per masked token for each epoch, and
-    `grad_norms` holds each step's pre-clip global gradient norm.
+    `grad_norms` holds each step's pre-clip global gradient norm. A step that
+    leaves a weight non-finite (a learning rate or weight decay so large that
+    the update overflows float32) raises DivergenceDetected.
     """
     corpus = list(corpus_train)
     if not corpus:
@@ -245,7 +247,10 @@ def train(corpus_train, model_cfg: ModelConfig, cfg: TrainConfig, vocab_hash: st
             n_masked = sum(len(p) for p in positions)
             nll_sum += loss * n_masked
             masked_sum += n_masked
-            norm = opt.apply(params.tensors, grads)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+                norm = opt.apply(params.tensors, grads)
+            if not all(np.isfinite(w).all() for w in params.tensors.values()):
+                raise DivergenceDetected(f"non-finite weights after a step of epoch {epoch}")
             if norm is not None:
                 norms.append(norm)
         history.append(nll_sum / masked_sum)
@@ -262,7 +267,8 @@ def train(corpus_train, model_cfg: ModelConfig, cfg: TrainConfig, vocab_hash: st
     )
 
 
-def _format_float(x: float) -> str:
+def format_float(x) -> str:
+    """The shortest text that reads back as the same float; artifacts write every float this way."""
     return repr(float(x))
 
 
@@ -279,13 +285,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         if value is None:
             value = "none"
         elif _is_float_field(f):
-            value = _format_float(value)
+            value = format_float(value)
         header[f"train.{f.name}"] = value
     header.update(
         {
             "vocab_hash": ckpt.vocab_hash,
-            "final_loss": _format_float(ckpt.final_loss),
-            "history": ",".join(_format_float(h) for h in ckpt.history),
+            "final_loss": format_float(ckpt.final_loss),
+            "history": ",".join(format_float(h) for h in ckpt.history),
         }
     )
     ckpt_io.save_container(path, header, ckpt.params.tensors)

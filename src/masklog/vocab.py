@@ -56,7 +56,6 @@ class TokenSequence:
     ids: np.ndarray
     length: int
     raw_ref: tuple[str, int] = ("", 0)
-    truncated: bool = False
 
 
 def build_vocab(corpus, min_freq: int = 1, max_size: int = 8192) -> Vocabulary:
@@ -97,13 +96,12 @@ def encode(log: CleanLog, vocab: Vocabulary, max_len: int = 128) -> TokenSequenc
     tokens = text.split()
     if not tokens:
         raise EmptyAfterCleaning("cannot encode a log with zero tokens")
-    truncated = len(tokens) > max_len
     tokens = tokens[:max_len]
     ids = np.full(max_len, PAD_ID, dtype=np.int64)
     for i, tok in enumerate(tokens):
         ids[i] = vocab.token_to_id.get(tok, UNK_ID)
     raw_ref = log.raw_ref if isinstance(log, CleanLog) else ("", 0)
-    return TokenSequence(ids=ids, length=len(tokens), raw_ref=raw_ref, truncated=truncated)
+    return TokenSequence(ids=ids, length=len(tokens), raw_ref=raw_ref)
 
 
 def decode(ids, vocab: Vocabulary) -> list[str]:

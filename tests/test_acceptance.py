@@ -213,7 +213,7 @@ def test_criterion_05_score_oracle(pipeline_checkpoint, pipeline_vocab, pipeline
 
     worst_self = 0.0
     reports = [score_log(ckpt, s, token) for s in seqs]
-    reports += [score_log(ckpt, s, MaskingStrategy(), seed=i, repeats=3) for i, s in enumerate(seqs)]
+    reports += [score_log(ckpt, s, MaskingStrategy(repeats=3), seed=i) for i, s in enumerate(seqs)]
     for r in reports:
         recomputed = -sum(math.log(max(p, 1e-12)) for _, p in r.token_probs) / len(r.token_probs)
         worst_self = max(worst_self, abs(r.score - recomputed))

@@ -63,11 +63,6 @@ class TestSelectThreshold:
         with pytest.raises(ValueError):
             select_threshold([1.0], 101)
 
-    def test_metadata_carried(self):
-        t = select_threshold([1, 2, 3], 90, checkpoint_hash="ck", vocab_hash="vh",
-                             strategy="random0.15", repeats=2)
-        assert (t.checkpoint_hash, t.vocab_hash, t.strategy, t.repeats) == ("ck", "vh", "random0.15", 2)
-
 
 @settings(max_examples=200, deadline=None)
 @given(

@@ -1,5 +1,7 @@
 import argparse
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import os
@@ -7,6 +9,7 @@ import platform
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,16 +19,19 @@ from hypothesis import strategies as st
 
 import masklog
 from masklog import cli, errors
+from masklog.calibrate import select_threshold
 from masklog.checkpoint import load_container, save_container
 from masklog.cli import main, read_scores, read_table, read_threshold, read_verdicts
+from masklog.detect import ablate_finetune, ablate_masking
 from masklog.errors import NoAnomaliesInTruth
 from masklog.manifest import file_digest, load_manifest, manifest_path_for
 from masklog.corpus import load_labeled, load_lines
 from masklog.masking import MaskingStrategy
+from masklog.model import ModelConfig
 from masklog.normalize import CleanLog
-from masklog.score import _STREAM_SCORE, score_log
-from masklog.train import derive_seed, load_checkpoint, save_checkpoint
-from masklog.vocab import encode, load_vocab
+from masklog.score import _STREAM_SCORE, score_corpus, score_log
+from masklog.train import TrainConfig, derive_seed, load_checkpoint, save_checkpoint
+from masklog.vocab import build_vocab, encode, load_vocab
 
 from conftest import run_cli
 
@@ -108,7 +114,9 @@ class TestArtifacts:
         meta, rows = read_scores(small_run["val_scores"])
         assert t.percentile == 90.0
         assert t.n_calibration == len(rows)
-        assert t.checkpoint_hash == meta["checkpoint"]
+        provenance = (t.checkpoint_hash, t.vocab_hash, t.strategy, t.repeats)
+        assert provenance == (meta["checkpoint"], meta["vocab"], meta["strategy"], int(meta["repeats"]))
+        assert provenance[1:] == (load_vocab(small_run["vocab"]).digest(), "random0.15", 1)
 
     def test_detect_matches_rowwise_rule(self, small_run):
         t = read_threshold(small_run["threshold"])
@@ -430,6 +438,14 @@ def _checkpoint_with_tensor(name, value):
     return make
 
 
+def _checkpoint_with_an_inf_weight(run, tmp):
+    header, tensors = load_container(run["ckpt"])
+    tensors["embed.token"][4, 0] = np.inf  # the first non-special token
+    path = tmp / "inf.ckpt"
+    save_container(path, header, tensors)
+    return ["score", "--in", run["val"], "--vocab", run["vocab"], "--checkpoint", path, "--out", tmp / "s.tsv"]
+
+
 def _vocab_without_specials(run, tmp):
     path = tmp / "vocab.txt"
     path.write_text("alpha\nbeta\ngamma\ndelta\nepsilon\n")
@@ -629,6 +645,28 @@ BAD_INPUTS = {
     "ablate-masking-repeated-percentile": ("ConfigInvalid", lambda r, t: [
         "ablate-masking", "--checkpoint", t / "never-read.ckpt", "--vocab", r["vocab"], "--val", r["val"],
         "--test", r["test"], "--out", t / "grid.tsv", "--percentiles", "90,95,90.0"]),
+    # Option values refused while the options are parsed: each names a file that does not exist.
+    "ablate-masking-repeats-3-with-token": ("ConfigInvalid", lambda r, t: [
+        "ablate-masking", "--checkpoint", t / "never-read.ckpt", "--vocab", r["vocab"], "--val", r["val"],
+        "--test", r["test"], "--out", t / "grid.tsv", "--repeats", 3]),
+    "ablate-masking-percentile-0": ("ConfigInvalid", lambda r, t: [
+        "ablate-masking", "--checkpoint", t / "never-read.ckpt", "--vocab", r["vocab"], "--val", r["val"],
+        "--test", r["test"], "--out", t / "grid.tsv", "--percentiles", 0]),
+    "ablate-masking-percentile-nan": ("ConfigInvalid", lambda r, t: [
+        "ablate-masking", "--checkpoint", t / "never-read.ckpt", "--vocab", r["vocab"], "--val", r["val"],
+        "--test", r["test"], "--out", t / "grid.tsv", "--percentiles", "nan"]),
+    "ablate-finetune-percentile-101": ("ConfigInvalid", lambda r, t: [
+        "ablate-finetune", "--checkpoint", t / "never-read.ckpt", "--vocab", r["vocab"], "--val", r["val"],
+        "--test", r["test"], "--out", t / "ft.json", "--percentile", 101]),
+    "calibrate-percentile-0-before-reading": ("ConfigInvalid", lambda r, t: [
+        "calibrate", "--scores", t / "never-read.tsv", "--out", t / "t.json", "--percentile", 0]),
+    # Training that overflows float32 on its first step.
+    "train-learning-rate-1e308": ("DivergenceDetected", lambda r, t: [
+        "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt", "--learning-rate", 1e308]),
+    "train-weight-decay-1e308": ("DivergenceDetected", lambda r, t: [
+        "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt", "--weight-decay", 1e308]),
+    # numpy warns of the overflow before the forward's own check: the warning is the one error line.
+    "score-of-a-checkpoint-with-an-inf-weight": ("NonFiniteActivation", _checkpoint_with_an_inf_weight),
 }
 
 
@@ -657,6 +695,56 @@ def test_ablate_masking_names_the_repeated_value(small_run, tmp_path, capsys, ca
     assert main([str(a) for a in make_argv(small_run, tmp_path)]) == 2
     message = json.loads(capsys.readouterr().err.strip())["message"]
     assert option in message and value in message
+
+
+@pytest.mark.parametrize("case, option, written", [
+    ("ablate-masking-repeats-3-with-token", "--repeats", ["grid.tsv"]),
+    ("ablate-masking-percentile-0", "--percentiles", ["grid.tsv"]),
+    ("ablate-masking-percentile-nan", "--percentiles", ["grid.tsv"]),
+    ("ablate-finetune-percentile-101", "--percentile", ["ft.json"]),
+    ("calibrate-percentile-0-before-reading", "--percentile", ["t.json"]),
+    ("train-learning-rate-1e308", "non-finite weights", ["m.ckpt", "m.ckpt.log.tsv"]),
+    ("train-weight-decay-1e308", "non-finite weights", ["m.ckpt", "m.ckpt.log.tsv"]),
+])
+def test_refusal_names_its_cause_and_writes_nothing(small_run, tmp_path, capsys, case, option, written):
+    _, make_argv = BAD_INPUTS[case]
+    assert main([str(a) for a in make_argv(small_run, tmp_path)]) == 2
+    assert option in json.loads(capsys.readouterr().err.strip())["message"]
+    assert not [name for name in written if (tmp_path / name).exists()]
+
+
+def test_main_raises_numpy_warnings_itself(small_run, tmp_path, capsys):
+    # The suite turns every RuntimeWarning into an error; main must do so without that filter too.
+    _, make_argv = BAD_INPUTS["score-of-a-checkpoint-with-an-inf-weight"]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main([str(a) for a in make_argv(small_run, tmp_path)]) == 2
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["error"] == "NonFiniteActivation"
+
+
+def test_command_defaults_are_the_library_defaults():
+    """Each default that `_COMMANDS` writes again is the library's own."""
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    configs = {f.name: f.default for cls in (TrainConfig, ModelConfig) for f in dataclasses.fields(cls)}
+    library = {
+        "train": {k: configs[k] for k in cli._COMMANDS["train"]["defaults"]},
+        "build-vocab": {"min_freq": default(build_vocab, "min_freq"), "max_vocab": default(build_vocab, "max_size")},
+        "calibrate": {"percentile": default(select_threshold, "percentile")},
+        "score": {"mask_strategy": MaskingStrategy().describe(), "repeats": MaskingStrategy().repeats,
+                  "seed": default(score_corpus, "seed"), "threads": default(score_corpus, "threads")},
+        "ablate-masking": {"repeats": MaskingStrategy().repeats, "seed": default(ablate_masking, "seed")},
+        "ablate-finetune": {"mask_strategy": default(ablate_finetune, "strategy").describe(),
+                            "percentile": default(ablate_finetune, "percentile"),
+                            "seed": default(ablate_finetune, "seed")},
+    }
+    for name, theirs in library.items():
+        ours = cli._COMMANDS[name]["defaults"]
+        assert {k: ours[k] for k in theirs} == theirs, name
 
 
 # Every settable value of each command, as its flag name; `--config` aside.

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from masklog.masking import (
     RANDOM_FRACTION,
+    TOKEN_BY_TOKEN,
     MaskingStrategy,
     plan_random,
     plan_token_by_token,
@@ -100,6 +101,18 @@ class TestStrategy:
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
             MaskingStrategy(kind="sliding")
+
+    def test_repeats_are_part_of_the_strategy(self):
+        assert MaskingStrategy().repeats == MaskingStrategy.parse("token").repeats == 1
+        random3 = MaskingStrategy(fraction=0.25, repeats=3)
+        assert random3.describe() == "random0.25"  # repeats are recorded on their own
+        assert [random3.variants(n) for n in (1, 7)] == [3, 3]
+        assert [MaskingStrategy.parse("token").variants(n) for n in (1, 7)] == [1, 7]
+
+    @pytest.mark.parametrize("repeats", [0, 2, 5])
+    def test_token_masks_each_position_once(self, repeats):
+        with pytest.raises(ValueError, match="repeats must be"):
+            MaskingStrategy(kind=TOKEN_BY_TOKEN, fraction=1.0, repeats=repeats)
 
 
 @settings(max_examples=80, deadline=None)

@@ -561,7 +561,7 @@ class TestForwardRouting:
         assert calls == [("_forward_scores", (5, 5) if kind == "token" else (1, 5))]
         calls.clear()
         corpus = [make_seq(n, hi=24, rng=rng) for n in (1, 4, 4, 6, 4)]
-        score_corpus(ckpt, corpus, strategy, repeats=1 if kind == "token" else 2)
+        score_corpus(ckpt, corpus, strategy if kind == "token" else MaskingStrategy(repeats=2))
         shapes = [(1, 1), (12, 4), (6, 6)] if kind == "token" else [(2, 1), (6, 4), (2, 6)]  # (variants, length)
         assert sorted(calls) == sorted(("_forward_scores", shape) for shape in shapes)
 

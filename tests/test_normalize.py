@@ -55,10 +55,22 @@ def _reference_placeholders(text: str) -> tuple[str, int, int, int]:
     return _WS_RE.sub(" ", text).strip(), n_paths, n_addr, n_num + n_emb
 
 
+def _reference_split_compound(text: str) -> str:
+    """Compound splitting of the text between hex literals; each literal is kept whole."""
+    out, end = [], 0
+    for m in [*_HEX_RE.finditer(text), None]:
+        gap = text[end : m.start() if m else len(text)]
+        out.append(_CASE_FLIP_RE.sub(r"\1 \2", _UPPER_RUN_RE.sub(r"\1 \2", gap)))
+        if m:
+            out.append(m.group())
+            end = m.end()
+    return "".join(out)
+
+
 def _reference_normalize(text: str) -> tuple[str, list[int]]:
     """(cleaned text, [timestamps, paths, addresses, numbers]) for one raw line."""
     text, n_ts = _reference_timestamps(text)
-    text = _CASE_FLIP_RE.sub(r"\1 \2", _UPPER_RUN_RE.sub(r"\1 \2", text))
+    text = _reference_split_compound(text)
     text, *counts = _reference_placeholders(text)
     return _WS_RE.sub(" ", text.lower()).strip(), [n_ts, *counts]
 
@@ -122,6 +134,9 @@ class TestSplitCompound:
 
     def test_lower_to_upper_boundary(self):
         assert split_compound("infoKernel") == "info Kernel"
+
+    def test_hex_literals_stay_whole(self):
+        assert split_compound("RASKernel 0x00544EB8 0XAb ciod2Fail") == "RAS Kernel 0x00544EB8 0XAb ciod2 Fail"
 
 
 class TestReplacePlaceholders:
@@ -306,9 +321,26 @@ def test_guard_case_equals_the_whole_line_reference(line):
 
 
 def test_uppercase_hex_guard():
-    # In a full cleaning pass compound splitting turns "0XAB" into "0 XAB"
-    # first, so only replace_placeholders reaches the "0X" guard.
+    # Compound splitting leaves "0XAB" whole, so a full cleaning pass reaches
+    # the "0X" guard too; "0X" and "0Xg" are no hex literals and do split.
     assert replace_placeholders("0XAB 0X 0Xg") == _reference_placeholders("0XAB 0X 0Xg")[0] == "address float X float Xg"
+    assert _observed(["0XAB 0X 0Xg"])[0] == _reference_clean_lines(["0XAB 0X 0Xg"])[0] == ["address float x float xg"]
+
+
+# Hex literals with capital letters, each one address and nothing else.
+UPPERCASE_HEX_CASES = {
+    "whole-token": ("0xDEADBEEF", "address"),
+    "capital-x": ("0XDEADBEEF", "address"),
+    "mid-line": ("addr 0x00544EB8 ok", "addr address ok"),
+    "two-literals": ("instr 0x1F at 0xaB", "instr address at address"),
+}
+
+
+@pytest.mark.parametrize("line, text", UPPERCASE_HEX_CASES.values(), ids=UPPERCASE_HEX_CASES.keys())
+def test_uppercase_hex_is_one_address(line, text):
+    assert normalize(RawLog(line)).text == text
+    assert _observed([line]) == _reference_clean_lines([line])
+    assert _observed([line])[3][2] == line.count("0x") + line.count("0X")  # the address count
 
 
 class TestDigitInvariant:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from masklog import score as score_mod
-from masklog.errors import ConfigInvalid
-from masklog.masking import TOKEN_BY_TOKEN, MaskingStrategy, plan_random, plan_token_by_token
+from masklog.masking import RANDOM_FRACTION, TOKEN_BY_TOKEN, MaskingStrategy, plan_random, plan_token_by_token
 from masklog.model import ModelConfig, forward, init_params
 from masklog.score import (
     PROB_FLOOR,
@@ -72,26 +71,24 @@ class TestScoreLog:
     def test_repeats_concatenate_plans(self, toy_model):
         ckpt = toy_model["checkpoint"]
         seq = toy_model["seqs"][0]
-        r = score_log(ckpt, seq, RANDOM15, seed=3, repeats=4)
+        r = score_log(ckpt, seq, MaskingStrategy(repeats=4), seed=3)
         k = max(1, round(0.15 * seq.length))
         assert r.masked_count == 4 * k
-        assert r.repeats == 4
+        assert r.strategy.repeats == 4
         assert r.score == pytest.approx(recompute_score(r.token_probs), abs=1e-9)
 
     @pytest.mark.parametrize("repeats", [0, -4])
-    def test_repeats_below_one_are_refused(self, toy_model, repeats):
-        ckpt, seqs = toy_model["checkpoint"], toy_model["seqs"][:3]
-        for strategy in (RANDOM15, TOKEN):
-            with pytest.raises(ConfigInvalid, match="repeats"):
-                score_log(ckpt, seqs[0], strategy, repeats=repeats)
-            with pytest.raises(ConfigInvalid, match="repeats"):
-                score_corpus(ckpt, seqs, strategy, repeats=repeats)
+    def test_repeats_below_one_are_refused(self, repeats):
+        # the strategy is the one check: no scoring call takes repeats of its own
+        for kind in (RANDOM_FRACTION, TOKEN_BY_TOKEN):
+            with pytest.raises(ValueError, match="repeats"):
+                MaskingStrategy(kind=kind, fraction=1.0, repeats=repeats)
 
-    @pytest.mark.parametrize("strategy", [RANDOM15, TOKEN], ids=["random", "token"])
+    @pytest.mark.parametrize("strategy", [MaskingStrategy(repeats=3), TOKEN], ids=["random", "token"])
     def test_gathered_probs_match_full_forward(self, toy_model, strategy):
         ckpt = toy_model["checkpoint"]
         for seq in toy_model["seqs"][:4]:
-            report = score_log(ckpt, seq, strategy, seed=5, repeats=3)
+            report = score_log(ckpt, seq, strategy, seed=5)
             if strategy.kind == TOKEN_BY_TOKEN:
                 plans = plan_token_by_token(seq)
             else:
@@ -158,7 +155,7 @@ class TestScoreCorpus:
         seq = toy_model["seqs"][0]
         var = []
         for repeats in (1, 4):
-            scores = [score_log(ckpt, seq, RANDOM15, seed=s, repeats=repeats).score for s in range(20)]
+            scores = [score_log(ckpt, seq, MaskingStrategy(repeats=repeats), seed=s).score for s in range(20)]
             var.append(float(np.var(scores)))
         assert var[1] <= var[0]
 
@@ -220,24 +217,23 @@ class TestBatchedScoring:
         dict(d_model=32, n_heads=2, n_layers=1, d_ff=48),  # the toy_model dims
         dict(),  # the defaults: d_model 128, 4 heads, 2 layers, d_ff 256
     ], ids=["toy", "default"])
-    @pytest.mark.parametrize("strategy, repeats", [(RANDOM15, 1), (RANDOM15, 3), (TOKEN, 1)],
+    @pytest.mark.parametrize("strategy", [RANDOM15, MaskingStrategy(repeats=3), TOKEN],
                              ids=["random", "random-repeats3", "token"])
-    def test_batched_equals_per_log(self, dims, strategy, repeats):
+    def test_batched_equals_per_log(self, dims, strategy):
         cfg = ModelConfig(vocab_size=130, max_len=32, **dims)  # |V| 130: the head is padded to 136
         ckpt = _untrained_checkpoint(cfg, 4)
         corpus = _mixed_corpus(cfg.vocab_size)
-        chunks = score_mod._chunks(corpus, strategy, repeats)
+        chunks = score_mod._chunks(corpus, strategy)
         assert max(len(c) for c in chunks) > 1
         assert sum(1 for c in chunks if corpus[c[0]].length == 5) > 1  # a chunk boundary inside one length
-        batched = score_corpus(ckpt, corpus, strategy, seed=8, repeats=repeats)
+        batched = score_corpus(ckpt, corpus, strategy, seed=8)
         for i, (seq, got) in enumerate(zip(corpus, batched)):
-            want = score_log(ckpt, seq, strategy, seed=derive_seed(8, score_mod._STREAM_SCORE, i),
-                             repeats=repeats)
-            if seq.length <= 3 and strategy is RANDOM15:
-                assert got.masked_count == repeats  # one masked position per plan
+            want = score_log(ckpt, seq, strategy, seed=derive_seed(8, score_mod._STREAM_SCORE, i))
+            if seq.length <= 3 and strategy.kind == RANDOM_FRACTION:
+                assert got.masked_count == strategy.repeats  # one masked position per plan
             assert np.float64(got.score).tobytes() == np.float64(want.score).tobytes(), i
             assert got.token_probs == want.token_probs, i
-            assert (got.masked_count, got.repeats, got.raw_ref) == (want.masked_count, want.repeats, want.raw_ref)
+            assert (got.masked_count, got.strategy, got.raw_ref) == (want.masked_count, want.strategy, want.raw_ref)
 
     def test_threads_take_whole_chunks(self):
         ckpt = _untrained_checkpoint(ModelConfig(vocab_size=130, d_model=32, n_heads=2, d_ff=48, max_len=32), 2)

@@ -132,7 +132,7 @@ class TestAdamW:
     def test_in_place_update_is_bit_identical_to_the_reference_formula(self, grad_clip):
         cfg = TrainConfig(learning_rate=3e-2, weight_decay=0.1, grad_clip=grad_clip, warmup_steps=2)
         params = init_params(SMALL_CFG, 3)
-        ours, ref = params.copy().tensors, params.copy().tensors
+        ours, ref = ({k: v.copy() for k, v in params.items()} for _ in range(2))
         opt, ref_opt = _AdamW(ours, cfg), _ReferenceAdamW(ref, cfg)
         rng = np.random.default_rng(8)
         clipped = 0

@@ -79,7 +79,7 @@ class TestEncode:
         vocab = build_vocab(["w"])
         seq = encode(CleanLog(" ".join(["w"] * 200)), vocab, max_len=128)
         assert seq.length == 128
-        assert seq.truncated
+        assert seq.ids.shape == (128,) and (seq.ids == vocab.token_to_id["w"]).all()
 
     def test_empty_text_propagates(self):
         vocab = build_vocab(["a"])
