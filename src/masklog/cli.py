@@ -657,10 +657,13 @@ def _setting(key: str, text, repeats: int = 1):
 def _built(opts: dict) -> dict:
     """`opts` as the runner takes them: each masking strategy and percentile built and checked.
 
-    No file is read here. `mask_strategy` becomes a `MaskingStrategy`, and
-    `strategies` and `percentiles` become lists of distinct values.
+    No file is read here. A negative `seed` is refused, `mask_strategy`
+    becomes a `MaskingStrategy`, and `strategies` and `percentiles` become
+    lists of distinct values.
     """
     built, repeats = dict(opts), opts.get("repeats", 1)
+    if opts.get("seed", 0) < 0:
+        raise ConfigInvalid(f"--seed must be a non-negative integer, not {opts['seed']}")
     if "mask_strategy" in opts:
         built["mask_strategy"] = _setting("mask_strategy", opts["mask_strategy"], repeats)
     if "percentile" in opts:
@@ -692,15 +695,26 @@ def _merge_options(name: str, ns: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _execute(name: str, opts: dict, built: dict) -> dict:
-    """Run the command on its built options; the manifest records the options as given."""
+    """Run the command on its built options; the manifest records the options as given.
+
+    Each distinct warning the run gave is printed as one JSON line on stderr
+    and listed in the manifest.
+    """
     started = time.time()
-    inputs, outputs, logs = _COMMANDS[name]["runner"](built)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)  # every run reports its own, not once per process
+        inputs, outputs, logs = _COMMANDS[name]["runner"](built)
+    distinct = dict.fromkeys((w.category.__name__, str(w.message)) for w in caught)
+    found = [{"warning": category, "message": message} for category, message in distinct]
+    for warning in found:
+        print(json.dumps(warning), file=sys.stderr)
     return write_manifest(
         command=name,
         options=opts,
         inputs=digest_map(inputs),
         outputs=digest_map(outputs),
         logs=digest_map(logs),
+        warnings=found,
         started_at=started,
         version=__version__,
     )

@@ -1,8 +1,8 @@
 """Run manifests: enough recorded state to re-run a command bit-exactly.
 
-A manifest also records how the run went (`runtime`: peak resident memory and
-the python, numpy and BLAS versions); `rerun` reads only the command, its
-options and its inputs.
+A manifest also records how the run went (`warnings`: each distinct warning
+the run gave; `runtime`: peak resident memory and the python, numpy and BLAS
+versions); `rerun` reads only the command, its options and its inputs.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ def write_manifest(
     started_at: float,
     version: str,
     logs: dict | None = None,
+    warnings: list | None = None,
 ) -> dict:
     doc = {
         "tool": TOOL_NAME,
@@ -80,6 +81,7 @@ def write_manifest(
         "inputs": inputs,
         "outputs": outputs,
         "logs": logs or {},
+        "warnings": warnings or [],
         "started_at": started_at,
         "finished_at": time.time(),
         "runtime": _runtime(),

@@ -39,10 +39,6 @@ class MaskingStrategy:
             raise ValueError(f"repeats must be 1 with masking strategy token, which masks each position "
                              f"once, not {self.repeats!r}")
 
-    def variants(self, length: int) -> int:
-        """Masked variants of a log of `length` content tokens."""
-        return length if self.kind == TOKEN_BY_TOKEN else self.repeats
-
     def describe(self) -> str:
         if self.kind == TOKEN_BY_TOKEN:
             return "token"

@@ -173,8 +173,8 @@ def _placeholders(token: str, report: CleanReport) -> str:
     if digit and "." in token:
         token, n = _IPV4_RE.subn(ADDRESS_WORD, token)
         report.n_addresses += n
-    if "0x" in token or "0X" in token:
-        token, n = _HEX_RE.subn(ADDRESS_WORD, token)
+    if "0x" in token or "0X" in token:  # a literal inside a word splits it: "id0x1f" -> "id address"
+        token, n = _HEX_RE.subn(f" {ADDRESS_WORD} ", token)
         report.n_addresses += n
     if ":" in token:
         for rx in _COLON_ADDRESS_RES:

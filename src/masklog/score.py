@@ -3,10 +3,12 @@
 A log's score is the negative mean natural log of the probabilities the model
 assigns to the true tokens at masked positions. The `MaskingStrategy` says
 how a log is masked, `repeats` included, and was checked when it was built.
-`score_corpus` groups logs by content length and scores each group in chunks
-of whole logs, one `forward` per chunk of at most CHUNK_ROWS token rows, so
-no chunk holds padding. `score_log` is the same code with a chunk of one log.
-Threads take whole chunks, so the thread count never changes a report.
+`score_corpus` and `score_log` run one core. Per content length, it cuts the
+run of (log, masked variant) pairs into chunks of masked variants, at most
+CHUNK_ROWS token rows each, and runs one `forward` per chunk. So no chunk
+holds padding, a chunk may split a log, and memory is bounded whatever a
+log's length or `repeats`. Threads take whole chunks, read back in order, so
+the thread count never changes a report.
 
 Each chunk is one call of `model.forward` in the scoring shape (no padding,
 the same masked count per variant), which runs the scoring forward. It runs
@@ -20,8 +22,8 @@ each row of a 2-D product the same bits whatever the product's row count
 OpenBLAS 0.3.31 on a SkylakeX core does for output widths that are multiples
 of 8 and inner widths up to 384, so d_model and d_ff must both be such widths
 (the defaults, 128 and 256, are). Elsewhere a log's report can differ from
-`score_log` of it in the last bits, depending on which other logs share its
-chunk.
+`score_log` of it in the last bits, depending on which other variants share
+its chunks.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from .train import Checkpoint, derive_seed
 PROB_FLOOR = 1e-12  # guards -ln(0) on underflowed softmax cells
 
 _STREAM_SCORE = 5
-CHUNK_ROWS = 256  # token rows (variants x length) per forward pass, unless one log's variants hold more
+CHUNK_ROWS = 256  # token rows (variants x length) per forward pass, unless one variant holds more
 
 
 def recompute_score(token_probs) -> float:
@@ -67,45 +71,65 @@ class HeatmapMatrix:
     summary: dict = field(default_factory=dict)
 
 
-def _true_token_probs(ckpt: Checkpoint, plans) -> list:
-    """One batched forward over masked variants of one length; reads P(true | context).
+def _true_token_probs(params, chunk) -> list:
+    """One batched forward over a chunk's masked variants of one length; reads P(true | context).
 
-    The head runs only at the masked positions, and the weights are the
-    checkpoint's float64 scoring copy, cast once per checkpoint.
+    Returns (log index, (position, probability) pairs) per variant. The head
+    runs only at the masked positions.
     """
-    out = forward(
-        ckpt.scoring_params(),
-        [p.masked_sequence for p in plans],
-        mask_positions=[p.masked_indices for p in plans],
-    )
-    positions = [pos for p in plans for pos in p.masked_indices]
+    plans = [plan for _, plan in chunk]
+    out = forward(params, [p.masked_sequence for p in plans], mask_positions=[p.masked_indices for p in plans])
     true_ids = np.concatenate([p.original_ids for p in plans])
-    probs = out.probabilities[np.arange(len(positions)), true_ids]
-    return [(pos, max(float(prob), PROB_FLOOR)) for pos, prob in zip(positions, probs)]
+    probs = iter(out.probabilities[np.arange(len(true_ids)), true_ids].tolist())
+    return [(i, [(pos, max(next(probs), PROB_FLOOR)) for pos in plan.masked_indices]) for i, plan in chunk]
 
 
-def _plans(seq, strategy: MaskingStrategy, seed: int) -> list:
+def _variants(seq, strategy: MaskingStrategy, seed: int):
+    """A log's masked variants in plan order; random plans are drawn as they are taken."""
     if strategy.kind == TOKEN_BY_TOKEN:
         return plan_token_by_token(seq)
-    return [plan_random(seq, strategy.fraction, rng_seed=(int(seed), r)) for r in range(strategy.repeats)]
+    return (plan_random(seq, strategy.fraction, rng_seed=(int(seed), r)) for r in range(strategy.repeats))
 
 
-def _score_chunk(ckpt: Checkpoint, seqs, seeds, strategy: MaskingStrategy) -> list[ScoreReport]:
-    """Reports for logs of one length, all of their masked variants in one forward."""
-    plans = [_plans(seq, strategy, seed) for seq, seed in zip(seqs, seeds)]
-    pairs = _true_token_probs(ckpt, [p for log_plans in plans for p in log_plans])
-    reports, start = [], 0
-    for seq, log_plans in zip(seqs, plans):
-        n = sum(len(p.masked_indices) for p in log_plans)
-        own, start = pairs[start : start + n], start + n
-        reports.append(ScoreReport(
-            raw_ref=seq.raw_ref,
-            score=recompute_score(own),
-            masked_count=n,
-            token_probs=own,
-            strategy=strategy,
-        ))
-    return reports
+def _chunks(corpus, strategy: MaskingStrategy, seeds):
+    """(corpus index, masked variant) pairs in chunks of one content length and at most CHUNK_ROWS token rows.
+
+    Each length's logs come in input order and each log's variants in plan
+    order; a chunk takes the next max(1, CHUNK_ROWS // length) of them. So a
+    chunk may end partway through a log and hold the tail of one log and the
+    head of the next. Variants are drawn as a chunk fills.
+    """
+    by_length: dict = {}
+    for i, seq in enumerate(corpus):
+        by_length.setdefault(int(seq.length), []).append(i)
+    for length, indices in by_length.items():
+        pairs = ((i, plan) for i in indices for plan in _variants(corpus[i], strategy, seeds[i]))
+        while chunk := list(islice(pairs, max(1, CHUNK_ROWS // length))):
+            yield chunk
+
+
+def _mapped(run, chunks, threads: int):
+    """`map(run, chunks)` in order; on more threads, `threads` chunks at a time, so only theirs are drawn."""
+    if threads == 1:
+        yield from map(run, chunks)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for group in iter(lambda: list(islice(chunks, threads)), []):
+            yield from pool.map(run, group)
+
+
+def _score(ckpt: Checkpoint, corpus: list, strategy: MaskingStrategy, seeds: list, threads: int = 1) -> list:
+    """Reports in input order, log i's random plans drawn from seeds[i]; one forward per chunk."""
+    run = partial(_true_token_probs, ckpt.scoring_params())  # float64 weights, cast once; threads share them
+    token_probs: list = [[] for _ in corpus]
+    for done in _mapped(run, _chunks(corpus, strategy, seeds), threads):
+        for i, pairs in done:
+            token_probs[i] += pairs
+    return [
+        ScoreReport(raw_ref=seq.raw_ref, score=recompute_score(own), masked_count=len(own), token_probs=own,
+                    strategy=strategy)
+        for seq, own in zip(corpus, token_probs)
+    ]
 
 
 def score_log(ckpt: Checkpoint, seq, strategy: MaskingStrategy, seed: int = 0) -> ScoreReport:
@@ -115,23 +139,7 @@ def score_log(ckpt: Checkpoint, seq, strategy: MaskingStrategy, seed: int = 0) -
     scores; token_by_token masks every content position in its own variant,
     so token_probs covers the whole log.
     """
-    return _score_chunk(ckpt, [seq], [seed], strategy)[0]
-
-
-def _chunks(corpus, strategy: MaskingStrategy) -> list[list[int]]:
-    """Corpus indices in chunks of one content length and at most CHUNK_ROWS token rows.
-
-    Input order is kept within a length. A log's variants are never split: a
-    log whose variants hold more rows than that makes a chunk of its own.
-    """
-    by_length: dict = {}
-    for i, seq in enumerate(corpus):
-        by_length.setdefault(int(seq.length), []).append(i)
-    chunks = []
-    for length, indices in by_length.items():
-        step = max(1, CHUNK_ROWS // (strategy.variants(length) * length))
-        chunks += [indices[k : k + step] for k in range(0, len(indices), step)]
-    return chunks
+    return _score(ckpt, [seq], strategy, [seed])[0]
 
 
 def score_corpus(
@@ -141,29 +149,14 @@ def score_corpus(
 
     Each log's report equals `score_log` of that log with its derived seed,
     to the bit where the BLAS meets the condition in the module docstring;
-    elsewhere it may differ in the last bits. Threads take whole chunks, so
-    any count gives the same reports.
+    elsewhere it may differ in the last bits. Chunks of masked variants, at
+    most CHUNK_ROWS rows each, may split a log; threads take whole chunks and
+    their results are read in order, so any count gives the same reports.
     """
     if threads < 1:
         raise ConfigInvalid(f"threads must be >= 1, not {threads!r}")
     corpus = list(corpus)
-
-    def run(chunk: list[int]) -> list[ScoreReport]:
-        seeds = [derive_seed(seed, _STREAM_SCORE, i) for i in chunk]
-        return _score_chunk(ckpt, [corpus[i] for i in chunk], seeds, strategy)
-
-    chunks = _chunks(corpus, strategy)
-    if threads > 1:
-        ckpt.scoring_params()  # cast here, or each thread may build its own float64 copy
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run, chunks))
-    else:
-        done = [run(chunk) for chunk in chunks]
-    reports: list = [None] * len(corpus)
-    for chunk, chunk_reports in zip(chunks, done):
-        for i, report in zip(chunk, chunk_reports):
-            reports[i] = report
-    return reports
+    return _score(ckpt, corpus, strategy, [derive_seed(seed, _STREAM_SCORE, i) for i in range(len(corpus))], threads)
 
 
 def heatmap(ckpt: Checkpoint, corpus, labels=None) -> HeatmapMatrix:

@@ -367,7 +367,7 @@ class TestErrorPaths:
         assert err["error"] == "ConfigInvalid"
         assert "split_compound" in err["message"]
 
-    def test_eval_warns_when_truth_has_no_anomalies(self, tmp_path):
+    def test_eval_warns_when_truth_has_no_anomalies(self, tmp_path, capsys):
         test = tmp_path / "normals.tsv"
         test.write_text("a b\tnormal\nc d\tnormal\n")
         verdicts = tmp_path / "v.tsv"
@@ -376,10 +376,25 @@ class TestErrorPaths:
                             "normals.tsv\t0\t2.0\t1.0\tanomalous\n"
                             "normals.tsv\t1\t0.5\t1.0\tnormal\n")
         out = tmp_path / "m.json"
-        with pytest.warns(NoAnomaliesInTruth):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a Python warning escaping main fails the test
             assert main(["eval", "--verdicts", str(verdicts), "--test", str(test), "--out", str(out)]) == 0
+        line = {"warning": NoAnomaliesInTruth.__name__, "message": "truth contains no anomalies; recall is vacuous"}
+        assert capsys.readouterr().err == json.dumps(line) + "\n"
+        assert load_manifest(manifest_path_for(out))["warnings"] == [line]
         doc = json.loads(out.read_text())
         assert doc["zero_division"] == ["recall", "f1"]
+
+    def test_ablate_masking_prints_a_warning_once(self, small_run, tmp_path, capsys):
+        test = _write(tmp_path / "normals.tsv", "".join(
+            f"{text}\tnormal\n" for text in small_run["val"].read_text().splitlines()[:4]))
+        out = tmp_path / "grid.tsv"
+        assert run_cli("ablate-masking", "--checkpoint", small_run["ckpt"], "--vocab", small_run["vocab"],
+                       "--val", small_run["val"], "--test", test, "--out", out,
+                       "--strategies", "token,random0.15", "--percentiles", "90,95") == 0
+        (line,) = capsys.readouterr().err.splitlines()  # four cells, one warning line
+        assert json.loads(line)["warning"] == NoAnomaliesInTruth.__name__
+        assert len(load_manifest(manifest_path_for(out))["warnings"]) == 1
 
 
 def _write(path, text):
@@ -660,6 +675,19 @@ BAD_INPUTS = {
         "--test", r["test"], "--out", t / "ft.json", "--percentile", 101]),
     "calibrate-percentile-0-before-reading": ("ConfigInvalid", lambda r, t: [
         "calibrate", "--scores", t / "never-read.tsv", "--out", t / "t.json", "--percentile", 0]),
+    "synth-seed-negative": ("ConfigInvalid", lambda r, t: [
+        "synth", "--out", t / "raw.log", "--labels-out", t / "raw.labels", "--seed", -1]),
+    "split-seed-negative-before-reading": ("ConfigInvalid", lambda r, t: [
+        "split", "--in", t / "never-read.log", "--labels", t / "never-read.labels", "--out-dir", t / "splits",
+        "--seed", -1]),
+    "train-seed-negative-before-reading": ("ConfigInvalid", lambda r, t: [
+        "train", "--in", r["train"], "--vocab", t / "never-read.txt", "--out", t / "m.ckpt", "--seed", -1]),
+    "score-seed-negative-before-reading": ("ConfigInvalid", lambda r, t: [
+        "score", "--in", r["val"], "--vocab", r["vocab"], "--checkpoint", t / "never-read.ckpt",
+        "--out", t / "s.tsv", "--seed", -1]),
+    "ablate-masking-seed-negative-before-reading": ("ConfigInvalid", lambda r, t: [
+        "ablate-masking", "--checkpoint", t / "never-read.ckpt", "--vocab", r["vocab"], "--val", r["val"],
+        "--test", r["test"], "--out", t / "grid.tsv", "--seed", -1]),
     # Training that overflows float32 on its first step.
     "train-learning-rate-1e308": ("DivergenceDetected", lambda r, t: [
         "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt", "--learning-rate", 1e308]),
@@ -703,6 +731,11 @@ def test_ablate_masking_names_the_repeated_value(small_run, tmp_path, capsys, ca
     ("ablate-masking-percentile-nan", "--percentiles", ["grid.tsv"]),
     ("ablate-finetune-percentile-101", "--percentile", ["ft.json"]),
     ("calibrate-percentile-0-before-reading", "--percentile", ["t.json"]),
+    ("synth-seed-negative", "--seed", ["raw.log", "raw.labels"]),
+    ("split-seed-negative-before-reading", "--seed", ["splits"]),
+    ("train-seed-negative-before-reading", "--seed", ["m.ckpt", "m.ckpt.log.tsv"]),
+    ("score-seed-negative-before-reading", "--seed", ["s.tsv"]),
+    ("ablate-masking-seed-negative-before-reading", "--seed", ["grid.tsv"]),
     ("train-learning-rate-1e308", "non-finite weights", ["m.ckpt", "m.ckpt.log.tsv"]),
     ("train-weight-decay-1e308", "non-finite weights", ["m.ckpt", "m.ckpt.log.tsv"]),
 ])

@@ -47,8 +47,9 @@ def _reference_timestamps(text: str) -> tuple[str, int]:
 def _reference_placeholders(text: str) -> tuple[str, int, int, int]:
     text, n_paths = _PATH_RE.subn(PATH_WORD, text)
     n_addr = 0
-    for rx in (_IPV4_RE, _HEX_RE, *_COLON_ADDRESS_RES):
-        text, n = rx.subn(ADDRESS_WORD, text)
+    for rx, word in ((_IPV4_RE, ADDRESS_WORD), (_HEX_RE, f" {ADDRESS_WORD} "),
+                     *((rx, ADDRESS_WORD) for rx in _COLON_ADDRESS_RES)):
+        text, n = rx.subn(word, text)
         n_addr += n
     text, n_num = _NUMBER_RE.subn(NUMBER_WORD, text)
     text, n_emb = _EMBEDDED_DIGITS_RE.subn(f" {NUMBER_WORD} ", text)
@@ -341,6 +342,22 @@ def test_uppercase_hex_is_one_address(line, text):
     assert normalize(RawLog(line)).text == text
     assert _observed([line]) == _reference_clean_lines([line])
     assert _observed([line])[3][2] == line.count("0x") + line.count("0X")  # the address count
+
+
+# Hex literals glued to letters: the literal becomes its own address word and splits the word.
+GLUED_HEX_CASES = {
+    "letters-before": ("id0x1f ok", "id address ok"),
+    "hex-letters-before": ("deadbeef0x12", "deadbeef address"),
+    "letters-after": ("reg0x1FGo", "reg address go"),
+}
+
+
+@pytest.mark.parametrize("line, text", GLUED_HEX_CASES.values(), ids=GLUED_HEX_CASES.keys())
+def test_glued_hex_is_an_address_word_of_its_own(line, text):
+    assert normalize(RawLog(line)).text == text
+    assert replace_placeholders(line) == _reference_placeholders(line)[0]
+    assert _observed([line]) == _reference_clean_lines([line])
+    assert _observed([line])[3][2] == 1  # the address count
 
 
 class TestDigitInvariant:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,12 +206,13 @@ def _untrained_checkpoint(cfg, seed):
 
 
 class TestBatchedScoring:
-    """`score_corpus` scores logs of one length together; per-log `score_log` is the reference, to the bit.
+    """`score_corpus` scores variants of one length together, in chunks that may split a log.
 
-    Bit identity rests on the BLAS giving a row of a 2-D product the same bits
-    whatever the row count. Checked on OpenBLAS 0.3.31 (DYNAMIC_ARCH, SkylakeX
-    core, numpy 2.4.6), where it holds for output widths that are multiples
-    of 8 and inner widths up to 384: both dims below meet it.
+    Per-log `score_log` is the reference, to the bit. Bit identity rests on
+    the BLAS giving a row of a 2-D product the same bits whatever the row
+    count. Checked on OpenBLAS 0.3.31 (DYNAMIC_ARCH, SkylakeX core, numpy
+    2.4.6), where it holds for output widths that are multiples of 8 and inner
+    widths up to 384: both dims below meet it.
     """
 
     @pytest.mark.parametrize("dims", [
@@ -223,12 +225,17 @@ class TestBatchedScoring:
         cfg = ModelConfig(vocab_size=130, max_len=32, **dims)  # |V| 130: the head is padded to 136
         ckpt = _untrained_checkpoint(cfg, 4)
         corpus = _mixed_corpus(cfg.vocab_size)
-        chunks = score_mod._chunks(corpus, strategy)
-        assert max(len(c) for c in chunks) > 1
+        seeds = [derive_seed(8, score_mod._STREAM_SCORE, i) for i in range(len(corpus))]
+        chunks = [[i for i, _ in chunk] for chunk in score_mod._chunks(corpus, strategy, seeds)]
+        assert all(len({corpus[i].length for i in c}) == 1 for c in chunks)
+        assert all(len(c) * corpus[c[0]].length <= score_mod.CHUNK_ROWS for c in chunks)
         assert sum(1 for c in chunks if corpus[c[0]].length == 5) > 1  # a chunk boundary inside one length
+        assert any(len(set(c)) > 1 for c in chunks)  # a chunk holds variants of two logs
+        if strategy.kind == TOKEN_BY_TOKEN:  # lengths 17-24 hold more than CHUNK_ROWS rows: a log spans two chunks
+            assert any(sum(i in c for c in chunks) > 1 for i in range(len(corpus)))
         batched = score_corpus(ckpt, corpus, strategy, seed=8)
         for i, (seq, got) in enumerate(zip(corpus, batched)):
-            want = score_log(ckpt, seq, strategy, seed=derive_seed(8, score_mod._STREAM_SCORE, i))
+            want = score_log(ckpt, seq, strategy, seed=seeds[i])
             if seq.length <= 3 and strategy.kind == RANDOM_FRACTION:
                 assert got.masked_count == strategy.repeats  # one masked position per plan
             assert np.float64(got.score).tobytes() == np.float64(want.score).tobytes(), i
@@ -254,3 +261,21 @@ class TestBatchedScoring:
         ref = forward(ckpt.params, seqs, mask_positions=positions)
         assert out.logits.shape == ref.logits.shape == (6, 130)
         np.testing.assert_allclose(out.probabilities, ref.probabilities, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("length, strategy, masked", [(128, TOKEN, 128), (20, MaskingStrategy(repeats=1000), 3000)],
+                             ids=["token-128", "repeats-1000"])
+    def test_peak_memory_is_set_by_the_chunk_not_the_log(self, length, strategy, masked):
+        # One forward holds at most CHUNK_ROWS rows (about 3-4 MB here at default
+        # dims), so neither L² token variants nor 1,000 repeats can grow it. With
+        # a log's variants in one forward, these two cases peaked near 220 MB.
+        ckpt = _untrained_checkpoint(ModelConfig(vocab_size=130, max_len=128), 5)
+        ckpt.scoring_params()  # the float64 weights are cast once per checkpoint, outside the bound
+        seq = make_seq(length, width=128, hi=130, rng=np.random.default_rng(6))
+        tracemalloc.start()
+        try:
+            report = score_log(ckpt, seq, strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.masked_count == masked
+        assert peak < 8_000_000, peak
