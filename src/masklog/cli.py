@@ -697,17 +697,19 @@ def _merge_options(name: str, ns: argparse.Namespace) -> tuple[dict, dict]:
 def _execute(name: str, opts: dict, built: dict) -> dict:
     """Run the command on its built options; the manifest records the options as given.
 
-    Each distinct warning the run gave is printed as one JSON line on stderr
-    and listed in the manifest.
+    Each distinct warning the run gave is printed as one JSON line on stderr,
+    also when the run then fails, and listed in the manifest.
     """
     started = time.time()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)  # every run reports its own, not once per process
-        inputs, outputs, logs = _COMMANDS[name]["runner"](built)
-    distinct = dict.fromkeys((w.category.__name__, str(w.message)) for w in caught)
-    found = [{"warning": category, "message": message} for category, message in distinct]
-    for warning in found:
-        print(json.dumps(warning), file=sys.stderr)
+        try:
+            inputs, outputs, logs = _COMMANDS[name]["runner"](built)
+        finally:
+            distinct = dict.fromkeys((w.category.__name__, str(w.message)) for w in caught)
+            found = [{"warning": category, "message": message} for category, message in distinct]
+            for warning in found:
+                print(json.dumps(warning), file=sys.stderr)
     return write_manifest(
         command=name,
         options=opts,

@@ -29,6 +29,7 @@ its chunks.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -74,48 +75,53 @@ class HeatmapMatrix:
 def _true_token_probs(params, chunk) -> list:
     """One batched forward over a chunk's masked variants of one length; reads P(true | context).
 
-    Returns (log index, (position, probability) pairs) per variant. The head
-    runs only at the masked positions.
+    The chunk holds (log index, call that draws the variant) pairs, so the
+    thread that runs it draws its random plans. Returns (log index, (position,
+    probability) pairs) per variant. The head runs only at the masked positions.
     """
-    plans = [plan for _, plan in chunk]
+    indices, plans = zip(*((i, draw()) for i, draw in chunk))
     out = forward(params, [p.masked_sequence for p in plans], mask_positions=[p.masked_indices for p in plans])
     true_ids = np.concatenate([p.original_ids for p in plans])
     probs = iter(out.probabilities[np.arange(len(true_ids)), true_ids].tolist())
-    return [(i, [(pos, max(next(probs), PROB_FLOOR)) for pos in plan.masked_indices]) for i, plan in chunk]
+    return [(i, [(k, max(next(probs), PROB_FLOOR)) for k in plan.masked_indices]) for i, plan in zip(indices, plans)]
 
 
 def _variants(seq, strategy: MaskingStrategy, seed: int):
-    """A log's masked variants in plan order; random plans are drawn as they are taken."""
+    """Calls that return a log's masked variants, in plan order; a random plan is drawn when its call runs."""
     if strategy.kind == TOKEN_BY_TOKEN:
-        return plan_token_by_token(seq)
-    return (plan_random(seq, strategy.fraction, rng_seed=(int(seed), r)) for r in range(strategy.repeats))
+        return [(lambda plan=plan: plan) for plan in plan_token_by_token(seq)]
+    return (partial(plan_random, seq, strategy.fraction, rng_seed=(int(seed), r)) for r in range(strategy.repeats))
 
 
 def _chunks(corpus, strategy: MaskingStrategy, seeds):
-    """(corpus index, masked variant) pairs in chunks of one content length and at most CHUNK_ROWS token rows.
+    """(corpus index, variant call) pairs in chunks of one content length and at most CHUNK_ROWS token rows.
 
     Each length's logs come in input order and each log's variants in plan
     order; a chunk takes the next max(1, CHUNK_ROWS // length) of them. So a
     chunk may end partway through a log and hold the tail of one log and the
-    head of the next. Variants are drawn as a chunk fills.
+    head of the next. Token plans are made as a chunk fills, random ones as it runs.
     """
     by_length: dict = {}
     for i, seq in enumerate(corpus):
         by_length.setdefault(int(seq.length), []).append(i)
     for length, indices in by_length.items():
-        pairs = ((i, plan) for i in indices for plan in _variants(corpus[i], strategy, seeds[i]))
+        pairs = ((i, draw) for i in indices for draw in _variants(corpus[i], strategy, seeds[i]))
         while chunk := list(islice(pairs, max(1, CHUNK_ROWS // length))):
             yield chunk
 
 
 def _mapped(run, chunks, threads: int):
-    """`map(run, chunks)` in order; on more threads, `threads` chunks at a time, so only theirs are drawn."""
+    """`map(run, chunks)` in order; on more threads, chunks are cut as the pool runs, 2 x threads at most unread."""
     if threads == 1:
         yield from map(run, chunks)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for group in iter(lambda: list(islice(chunks, threads)), []):
-            yield from pool.map(run, group)
+        pending: deque = deque()
+        for chunk in chunks:
+            pending.append(pool.submit(run, chunk))
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+        yield from (future.result() for future in pending)
 
 
 def _score(ckpt: Checkpoint, corpus: list, strategy: MaskingStrategy, seeds: list, threads: int = 1) -> list:

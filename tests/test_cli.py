@@ -385,6 +385,20 @@ class TestErrorPaths:
         doc = json.loads(out.read_text())
         assert doc["zero_division"] == ["recall", "f1"]
 
+    def test_a_warning_then_a_refusal_prints_both(self, tmp_path, capsys):
+        test = tmp_path / "normals.tsv"
+        test.write_text("a b\tnormal\n")
+        verdicts = tmp_path / "v.tsv"
+        verdicts.write_text(f"# input={file_digest(test)}\n"
+                            "source_id\tline_no\tscore\tthreshold\tlabel\n"
+                            "normals.tsv\t0\t2.0\t1.0\tanomalous\n")
+        out = tmp_path / "missing" / "m.json"  # metrics warn, then writing --out fails
+        assert main(["eval", "--verdicts", str(verdicts), "--test", str(test), "--out", str(out)]) == 2
+        warning, error = map(json.loads, capsys.readouterr().err.splitlines())
+        assert warning["warning"] == NoAnomaliesInTruth.__name__
+        assert error["error"] == "MissingInput"
+        assert not out.parent.exists()
+
     def test_ablate_masking_prints_a_warning_once(self, small_run, tmp_path, capsys):
         test = _write(tmp_path / "normals.tsv", "".join(
             f"{text}\tnormal\n" for text in small_run["val"].read_text().splitlines()[:4]))

@@ -245,9 +245,15 @@ class TestBatchedScoring:
     def test_threads_take_whole_chunks(self):
         ckpt = _untrained_checkpoint(ModelConfig(vocab_size=130, d_model=32, n_heads=2, d_ff=48, max_len=32), 2)
         corpus = _mixed_corpus(130)
-        serial = score_corpus(ckpt, corpus, RANDOM15, seed=3)
-        threaded = score_corpus(ckpt, corpus, RANDOM15, seed=3, threads=3)
-        assert [r.token_probs for r in threaded] == [r.token_probs for r in serial]
+        seeds = [derive_seed(3, score_mod._STREAM_SCORE, i) for i in range(len(corpus))]
+        for strategy in (RANDOM15, MaskingStrategy(repeats=7), TOKEN):
+            chunks = [{i for i, _ in chunk} for chunk in score_mod._chunks(corpus, strategy, seeds)]
+            split = any(sum(i in c for c in chunks) > 1 for i in range(len(corpus)))
+            assert split == (strategy != RANDOM15)  # a split log's pairs come from chunks two workers may run
+            serial = score_corpus(ckpt, corpus, strategy, seed=3)
+            threaded = score_corpus(ckpt, corpus, strategy, seed=3, threads=3)
+            assert [r.token_probs for r in threaded] == [r.token_probs for r in serial], strategy
+            assert [r.masked_count for r in threaded] == [r.masked_count for r in serial], strategy
 
     def test_scoring_head_is_padded_and_dropped(self):
         ckpt = _untrained_checkpoint(ModelConfig(vocab_size=130, d_model=32, n_heads=2, d_ff=48, max_len=32), 2)

@@ -13,8 +13,6 @@ and compare them:
 A `-` line is a parent artifact whose digest the change never writes; a `+`
 line is a file whose digest only the change writes (expected only from new or
 changed tests). The exit code is 1 when there is a `-` line and 0 otherwise.
-With one tree, `--digests` prints each distinct digest once instead of each
-file.
 """
 
 from __future__ import annotations
@@ -50,18 +48,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("basetemp", help="the directory given to pytest --basetemp (the parent's, with two)")
     parser.add_argument("change", nargs="?", help="the change's --basetemp directory: compare the two trees")
-    parser.add_argument("--digests", action="store_true", help="print each distinct digest once, sorted")
     args = parser.parse_args(argv)
     if args.change:
         missing, extra = compare(args.basetemp, args.change)
         lines = [f"- {d}  {path}" for d, path in missing] + [f"+ {d}  {path}" for d, path in extra]
         print("\n".join(lines) if lines else "every parent digest is on the change, and nothing else")
         return 1 if missing else 0
-    found = artifact_digests(args.basetemp)
-    if args.digests:
-        print("\n".join(sorted({digest for digest, _ in found})))
-    else:
-        print("\n".join(f"{digest}  {path}" for digest, path in found))
+    print("\n".join(f"{digest}  {path}" for digest, path in artifact_digests(args.basetemp)))
     return 0
 
 
