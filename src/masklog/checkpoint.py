@@ -42,11 +42,12 @@ def load_container(path) -> tuple[dict, dict]:
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
-        def read(n: int, what: str) -> bytes:
-            # checked before reading, so a record cannot claim more memory than the file holds
-            if n > size - f.tell():
+        def read(n: int, what: str) -> bytearray:
+            # Checked before reading, so a record cannot claim more memory than the file
+            # holds. A payload is read once, into the buffer its writable array wraps.
+            if n > size - f.tell() or f.readinto(buf := bytearray(n)) != n:
                 raise MalformedInput(f"{path}: {what} runs past the end of the file")
-            return f.read(n)
+            return buf
 
         def unpack(fmt: str, what: str) -> tuple:
             return struct.unpack(fmt, read(struct.calcsize(fmt), what))
@@ -66,5 +67,5 @@ def load_container(path) -> tuple[dict, dict]:
             (rank,) = unpack("<B", f"the rank of {name}")
             dims = unpack(f"<{rank}I", f"the dims of {name}")
             payload = read(4 * math.prod(dims), f"the payload of {name}")  # Python ints: no overflow
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
     return header, tensors

@@ -654,16 +654,25 @@ def _setting(key: str, text, repeats: int = 1):
         raise ConfigInvalid(f"--{option}: {e}") from None
 
 
+_AT_LEAST_ONE = ("d_model", "n_heads", "n_layers", "d_ff", "max_len", "threads")
+
+
 def _built(opts: dict) -> dict:
     """`opts` as the runner takes them: each masking strategy and percentile built and checked.
 
-    No file is read here. A negative `seed` is refused, `mask_strategy`
-    becomes a `MaskingStrategy`, and `strategies` and `percentiles` become
-    lists of distinct values.
+    No file is read here. A negative `seed`, a model dimension or thread
+    count below 1 and a `d_model` that `n_heads` does not divide are refused,
+    `mask_strategy` becomes a `MaskingStrategy`, and `strategies` and
+    `percentiles` become lists of distinct values.
     """
     built, repeats = dict(opts), opts.get("repeats", 1)
     if opts.get("seed", 0) < 0:
         raise ConfigInvalid(f"--seed must be a non-negative integer, not {opts['seed']}")
+    for key in _AT_LEAST_ONE:
+        if opts.get(key, 1) < 1:
+            raise ConfigInvalid(f"--{key.replace('_', '-')} must be >= 1, not {opts[key]}")
+    if "d_model" in opts and opts["d_model"] % opts["n_heads"]:
+        raise ConfigInvalid(f"--d-model {opts['d_model']} must be divisible by --n-heads {opts['n_heads']}")
     if "mask_strategy" in opts:
         built["mask_strategy"] = _setting("mask_strategy", opts["mask_strategy"], repeats)
     if "percentile" in opts:

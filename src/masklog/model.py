@@ -123,7 +123,7 @@ def params_digest(params: Parameters) -> str:
         arr = np.ascontiguousarray(params.tensors[name], dtype="<f4")
         h.update(name.encode("utf-8"))
         h.update(np.array(arr.shape, dtype="<u4").tobytes())
-        h.update(arr.tobytes())
+        h.update(arr.data)  # the tensor's own buffer, not a bytes copy of it
     return h.hexdigest()
 
 
@@ -539,13 +539,20 @@ def _target_ids(targets, batch_shape, bs, ps):
 def _masked_loss(logits, tgt):
     """Mean NLL of tgt under the rows of logits [n_masked, vocab], plus their softmax.
 
-    One exp pass gives both the log-sum-exp and the probabilities.
+    One exp pass gives both the log-sum-exp and the probabilities, which are
+    formed in one new buffer: `logits - max`, then exp and the normalisation in
+    place. `logits` is read before that buffer is made, so an array that only
+    the caller's argument held is freed as soon as the buffer exists.
     """
+    picked = logits[np.arange(len(tgt)), tgt]
     m = logits.max(-1, keepdims=True)
-    e = np.exp(logits - m)
+    e = np.subtract(logits, m)
+    del logits
+    np.exp(e, out=e)
     total = e.sum(-1, keepdims=True)
-    nll = m[:, 0] + np.log(total[:, 0]) - logits[np.arange(len(tgt)), tgt]
-    return float(nll.mean()), e / total
+    nll = m[:, 0] + np.log(total[:, 0]) - picked
+    e /= total
+    return float(nll.mean()), e
 
 
 def mlm_loss(out: ForwardOutput, targets, mask_positions) -> float:
@@ -577,6 +584,11 @@ def loss_and_gradients(
     in the loss. Below the head the backward runs on the content-token rows
     the forward pass kept, so every weight gradient is one [n_tokens, m].T @
     [n_tokens, n] product.
+
+    The backward lets go of the forward's cache as it goes: the logits and the
+    head's input once read, and a layer's cache entry once the layer below it
+    starts. The softmax becomes d loss / d logits in place, and no more than
+    two [n_masked, vocab] arrays are alive at once.
     """
     cfg = params.config
     ids, lengths = _stack_batch(batch, cfg)
@@ -584,16 +596,17 @@ def loss_and_gradients(
     tgt = _target_ids(targets, ids.shape, bs, ps)
     cache = _forward_cached(params, ids, lengths, (bs, ps), dtype)
     w, tokens = cache["weights"], cache["tokens"]
-    loss, probs = _masked_loss(cache["logits"], tgt)
+    loss, dlogits = _masked_loss(cache.pop("logits"), tgt)  # the softmax, made d loss / d logits in place
 
     n_masked = len(bs)
-    dlogits = probs / n_masked  # [n_masked, vocab]
+    dlogits /= n_masked  # [n_masked, vocab]
     dlogits[np.arange(n_masked), tgt] -= 1.0 / n_masked
 
     g: dict[str, np.ndarray] = {}
-    g["out.w"] = cache["hf"].T @ dlogits
+    g["out.w"] = cache.pop("hf").T @ dlogits
     g["out.b"] = dlogits.sum(0)
     dhf = dlogits @ w["out.w"].T
+    del dlogits
     dtop, g["final_ln.gain"], g["final_ln.offset"] = _ln_backward(
         dhf, w["final_ln.gain"], cache["final_ln"]
     )
@@ -602,7 +615,7 @@ def loss_and_gradients(
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
     for i in reversed(range(cfg.n_layers)):
         pre = f"layers.{i}."
-        lc = cache["layers"][i]
+        lc, cache["layers"][i] = cache["layers"][i], None
         # feed-forward branch
         g[pre + "ffn.w2"] = lc["fz"].T @ dx
         g[pre + "ffn.b2"] = dx.sum(0)

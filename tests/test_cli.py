@@ -702,6 +702,15 @@ BAD_INPUTS = {
     "ablate-masking-seed-negative-before-reading": ("ConfigInvalid", lambda r, t: [
         "ablate-masking", "--checkpoint", t / "never-read.ckpt", "--vocab", r["vocab"], "--val", r["val"],
         "--test", r["test"], "--out", t / "grid.tsv", "--seed", -1]),
+    **{f"train-{flag}-0-before-reading": ("ConfigInvalid", lambda r, t, flag=flag: [
+        "train", "--in", t / "never-read.txt", "--vocab", t / "never-read.vocab", "--out", t / "m.ckpt",
+        f"--{flag}", 0]) for flag in ("d-model", "n-heads", "n-layers", "d-ff", "max-len")},
+    "train-d-model-10-n-heads-4-before-reading": ("ConfigInvalid", lambda r, t: [
+        "train", "--in", t / "never-read.txt", "--vocab", t / "never-read.vocab", "--out", t / "m.ckpt",
+        "--d-model", 10, "--n-heads", 4]),
+    "score-threads-0-before-reading": ("ConfigInvalid", lambda r, t: [
+        "score", "--in", t / "never-read.txt", "--vocab", t / "never-read.vocab", "--checkpoint",
+        t / "never-read.ckpt", "--out", t / "s.tsv", "--threads", 0]),
     # Training that overflows float32 on its first step.
     "train-learning-rate-1e308": ("DivergenceDetected", lambda r, t: [
         "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt", "--learning-rate", 1e308]),
@@ -750,6 +759,10 @@ def test_ablate_masking_names_the_repeated_value(small_run, tmp_path, capsys, ca
     ("train-seed-negative-before-reading", "--seed", ["m.ckpt", "m.ckpt.log.tsv"]),
     ("score-seed-negative-before-reading", "--seed", ["s.tsv"]),
     ("ablate-masking-seed-negative-before-reading", "--seed", ["grid.tsv"]),
+    *((f"train-{flag}-0-before-reading", f"--{flag}", ["m.ckpt", "m.ckpt.log.tsv"])
+      for flag in ("d-model", "n-heads", "n-layers", "d-ff", "max-len")),
+    ("train-d-model-10-n-heads-4-before-reading", "--n-heads", ["m.ckpt", "m.ckpt.log.tsv"]),
+    ("score-threads-0-before-reading", "--threads", ["s.tsv"]),
     ("train-learning-rate-1e308", "non-finite weights", ["m.ckpt", "m.ckpt.log.tsv"]),
     ("train-weight-decay-1e308", "non-finite weights", ["m.ckpt", "m.ckpt.log.tsv"]),
 ])

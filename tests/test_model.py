@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -64,6 +65,15 @@ class TestInit:
 
     def test_seed_changes_weights(self, tiny_cfg):
         assert params_digest(init_params(tiny_cfg, 1)) != params_digest(init_params(tiny_cfg, 2))
+
+    def test_digest_equals_a_tobytes_reference(self, tiny_cfg):
+        params = init_params(tiny_cfg, 3)
+        h = hashlib.sha256()
+        for name in sorted(params.tensors):
+            h.update(name.encode("utf-8"))
+            h.update(np.array(params[name].shape, dtype="<u4").tobytes())
+            h.update(params[name].astype("<f4").tobytes())
+        assert params_digest(params) == h.hexdigest()
 
     def test_norm_gains_are_ones(self, tiny_cfg):
         params = init_params(tiny_cfg, 0)

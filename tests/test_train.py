@@ -1,13 +1,20 @@
 import importlib
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import masklog
 from masklog.checkpoint import load_container, save_container
 from masklog.errors import DivergenceDetected, EmptyCorpus
 from masklog.masking import plan_token_by_token
-from masklog.model import ModelConfig, forward, init_params, params_digest
+from masklog.model import ModelConfig, forward, init_params, param_table, params_digest
 from masklog.train import _BLOCK, _AdamW, TrainConfig, load_checkpoint, save_checkpoint, train
 from masklog.vocab import PAD_ID, TokenSequence
 
@@ -191,6 +198,66 @@ class TestAdamW:
         assert opt._sum_squares(np.ravel(g)) == float(np.multiply(g64, g64).sum())
 
 
+def random_15_token_logs(cfg: ModelConfig, n: int = 128) -> list:
+    rng = np.random.default_rng(0)
+    seqs = []
+    for _ in range(n):
+        ids = np.full(cfg.max_len, PAD_ID, dtype=np.int64)
+        ids[:15] = rng.integers(4, cfg.vocab_size, size=15)
+        seqs.append(TokenSequence(ids=ids, length=15))
+    return seqs
+
+
+class TestStepMemory:
+    def test_a_step_holds_the_weights_moments_one_set_of_gradients_and_one_steps_activations(self):
+        """At |V| = 8,192 the traced peak of `train` stays within 25 MB of its fixed holdings.
+
+        Those are the float32 weights, the two float64 moments and one set of
+        float32 gradients: 24 bytes per parameter, 57.1 MB here. The rest is
+        one step's activations (about 17 MB on these 15-token logs). Keeping
+        the previous step's gradients through the next backward, three
+        [n_masked, |V|] arrays at once and every layer's cache to the end of
+        the backward put 44 MB above the holdings.
+        """
+        cfg = ModelConfig(vocab_size=8192, d_model=128, max_len=64)
+        seqs = random_15_token_logs(cfg)
+        holdings = 24 * sum(math.prod(shape) for _, shape, _ in param_table(cfg))
+        tracemalloc.start()
+        try:
+            train(seqs, cfg, TrainConfig(epochs=1, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - holdings) / 1e6 <= 25.0
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's heap policy")
+    def test_training_again_reuses_the_heap_instead_of_faulting_it_in(self):
+        """In a fresh process, a second `train` faults in almost no page.
+
+        glibc's sliding thresholds depend on what the process allocated
+        before, so this runs in a process of its own. Under the default policy
+        the second run faults in about 9,000 pages, and 19,000 once each step
+        frees its memory as it goes.
+        """
+        code = textwrap.dedent("""
+            import resource
+            from masklog.model import ModelConfig
+            from masklog.train import TrainConfig, train
+            from test_train import random_15_token_logs
+            cfg = ModelConfig(vocab_size=130, d_model=128, max_len=64)
+            seqs = random_15_token_logs(cfg)
+            train(seqs, cfg, TrainConfig(epochs=2, seed=0))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train(seqs, cfg, TrainConfig(epochs=2, seed=0))
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        path = os.pathsep.join([os.path.dirname(__file__), os.path.dirname(os.path.dirname(masklog.__file__))])
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 1000
+
+
 class TestCheckpointFile:
     def test_round_trip_bit_exact(self, tmp_path):
         seqs = pattern_seqs(n_copies=2)
@@ -236,3 +303,15 @@ class TestContainer:
         assert raw.startswith(b"MLCKPT01")
         # row-major little-endian float32 payload for tensor "b"
         assert tensors["b"].astype("<f4").tobytes() in raw
+
+    def test_loaded_tensors_are_writable_and_equal_to_those_saved(self, tmp_path):
+        path = tmp_path / "t.bin"
+        tensors = {"w": np.arange(12, dtype=np.float32).reshape(3, 4) / 7, "b": np.zeros(0, np.float32)}
+        save_container(path, {}, tensors)
+        _, loaded = load_container(path)
+        for name, saved in tensors.items():
+            assert loaded[name].dtype == np.float32 and loaded[name].shape == saved.shape
+            assert loaded[name].tobytes() == saved.tobytes()
+            assert loaded[name].flags.writeable
+        loaded["w"][0, 0] = 5.0  # an update in place, as a training step makes
+        assert loaded["w"][0, 0] == 5.0
