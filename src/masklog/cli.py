@@ -283,22 +283,17 @@ def run_split(opts):
     return inputs, [train_path, val_path, test_path, info_path], []
 
 
+def _config(cls, opts, **fields):
+    """A `cls` of the options named like its fields, `fields` set over them."""
+    return cls(**{f.name: opts[f.name] for f in dataclasses.fields(cls) if f.name in opts} | fields)
+
+
 def run_train(opts):
     _require(opts, "in_", "vocab", "out")
-    train_cfg = TrainConfig(
-        epochs=opts["epochs"],
-        batch_size=opts["batch_size"],
-        mask_fraction=opts["mask_fraction"],
-        learning_rate=opts["learning_rate"],
-        weight_decay=opts["weight_decay"],
-        # 0 or below turns clipping off; NaN and -inf go on to be refused
-        grad_clip=None if opts["grad_clip"] <= 0 and math.isfinite(opts["grad_clip"]) else opts["grad_clip"],
-        warmup_steps=opts["warmup_steps"],
-        seed=opts["seed"],
-    )
+    clip = opts["grad_clip"]  # 0 or below turns clipping off; NaN and -inf go on to be refused
+    train_cfg = _config(TrainConfig, opts, grad_clip=None if clip <= 0 and math.isfinite(clip) else clip)
     vocab = load_vocab(opts["vocab"])
-    dims = {k: opts[k] for k in ("d_model", "n_heads", "n_layers", "d_ff", "max_len")}
-    model_cfg = ModelConfig(vocab_size=len(vocab), **dims)
+    model_cfg = _config(ModelConfig, opts, vocab_size=len(vocab))
     seqs, _ = _load_clean_seqs(opts["in_"], vocab, opts["max_len"])
     ckpt = train(seqs, model_cfg, train_cfg, vocab_hash=vocab.digest())
     save_checkpoint(ckpt, opts["out"])
@@ -484,6 +479,12 @@ def run_heatmap(opts):
 _COMMANDS: dict = {}
 
 
+def _defaults(cls, *skip) -> dict:
+    """The fields of dataclass `cls` that have a default, less `skip`, each with its default."""
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING and f.name not in skip}
+
+
 def _register(name, runner, defaults, paths, help_text):
     _COMMANDS[name] = {"runner": runner, "defaults": defaults, "paths": paths, "help": help_text}
 
@@ -519,28 +520,16 @@ _register(
 _register(
     "train",
     run_train,
-    {
-        "epochs": 10,
-        "batch_size": 64,
-        "mask_fraction": 0.15,
-        "learning_rate": 3e-3,
-        "weight_decay": 0.01,
-        "grad_clip": 1.0,
-        "warmup_steps": 0,
-        "seed": 0,
-        "d_model": 128,
-        "n_heads": 4,
-        "n_layers": 2,
-        "d_ff": 256,
-        "max_len": 128,
-    },
+    # AdamW's betas and epsilon are recorded in the checkpoint but set by no option
+    {**_defaults(TrainConfig, "beta1", "beta2", "adam_eps"), **_defaults(ModelConfig)},
     ("in_", "vocab", "out", "log"),
     "train the encoder on normal logs",
 )
 _register(
     "score",
     run_score,
-    {"mask_strategy": "random0.15", "repeats": 1, "seed": 0, "threads": 1, "labeled": False},
+    {"mask_strategy": MaskingStrategy().describe(), "repeats": MaskingStrategy().repeats, "seed": 0, "threads": 1,
+     "labeled": False},
     ("in_", "vocab", "checkpoint", "out"),
     "compute per-log anomaly scores",
 )
@@ -572,7 +561,7 @@ _register(
         "strategies": "token,random0.15,random0.25,random0.5",
         "percentiles": "70,75,80,85,90,95,100",
         "seed": 0,
-        "repeats": 1,
+        "repeats": MaskingStrategy().repeats,
     },
     ("checkpoint", "vocab", "val", "test", "out"),
     "metrics grid over masking strategies x percentile thresholds",
@@ -580,7 +569,7 @@ _register(
 _register(
     "ablate-finetune",
     run_ablate_finetune,
-    {"mask_strategy": "random0.15", "percentile": 90.0, "seed": 0},
+    {"mask_strategy": MaskingStrategy().describe(), "percentile": 90.0, "seed": 0},
     ("checkpoint", "vocab", "val", "test", "out"),
     "a checkpoint vs. its own initial weights, same detection pipeline and seeds",
 )
@@ -654,23 +643,24 @@ def _setting(key: str, text, repeats: int = 1):
         raise ConfigInvalid(f"--{option}: {e}") from None
 
 
-_AT_LEAST_ONE = ("d_model", "n_heads", "n_layers", "d_ff", "max_len", "threads")
+# The least value of each count option: ModelConfig's bounds, and one thread.
+_LEAST = {**dict.fromkeys(_defaults(ModelConfig), 1), "max_len": 2, "threads": 1}
 
 
 def _built(opts: dict) -> dict:
     """`opts` as the runner takes them: each masking strategy and percentile built and checked.
 
     No file is read here. A negative `seed`, a model dimension or thread
-    count below 1 and a `d_model` that `n_heads` does not divide are refused,
+    count below its `_LEAST` and a `d_model` that `n_heads` does not divide are refused,
     `mask_strategy` becomes a `MaskingStrategy`, and `strategies` and
     `percentiles` become lists of distinct values.
     """
     built, repeats = dict(opts), opts.get("repeats", 1)
     if opts.get("seed", 0) < 0:
         raise ConfigInvalid(f"--seed must be a non-negative integer, not {opts['seed']}")
-    for key in _AT_LEAST_ONE:
-        if opts.get(key, 1) < 1:
-            raise ConfigInvalid(f"--{key.replace('_', '-')} must be >= 1, not {opts[key]}")
+    for key, least in _LEAST.items():
+        if opts.get(key, least) < least:
+            raise ConfigInvalid(f"--{key.replace('_', '-')} must be >= {least}, not {opts[key]}")
     if "d_model" in opts and opts["d_model"] % opts["n_heads"]:
         raise ConfigInvalid(f"--d-model {opts['d_model']} must be divisible by --n-heads {opts['n_heads']}")
     if "mask_strategy" in opts:

@@ -205,9 +205,10 @@ def _raw_line(tokens, rng) -> str:
 def synthesize(n_templates: int, n_normal: int, n_anomalies: int, seed: int) -> SyntheticCorpus:
     """Deterministic labeled corpus of raw log lines for desk-scale runs."""
     if n_templates < 2:
-        raise ValueError("need at least 2 templates")
-    if n_normal < 0 or n_anomalies < 0:
-        raise ValueError(f"line counts must be >= 0, not normal={n_normal!r} anomalies={n_anomalies!r}")
+        raise ValueError(f"templates must be >= 2, not {n_templates!r}")
+    for name, count in (("normal", n_normal), ("anomalies", n_anomalies)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, not {count!r}")
     if n_normal + n_anomalies == 0:
         raise ValueError("need at least one normal or anomalous line")
     rng = np.random.default_rng(seed)

@@ -82,8 +82,9 @@ class ModelConfig:
     max_len: int = 128
 
     def __post_init__(self):
-        if min(self.d_model, self.n_heads, self.n_layers, self.d_ff, self.max_len) < 1:
-            raise ValueError("all model dimensions must be >= 1")
+        for name, least in (("d_model", 1), ("n_heads", 1), ("n_layers", 1), ("d_ff", 1), ("max_len", 2)):
+            if getattr(self, name) < least:  # max_len: the bound `vocab.encode` holds
+                raise ValueError(f"{name} must be >= {least}, not {getattr(self, name)!r}")
         if self.vocab_size < 5:
             raise ValueError("vocab_size must cover the 4 specials plus content")
         if self.d_model % self.n_heads:

@@ -37,7 +37,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ConfigInvalid, EmptyCorpus
+from .errors import EmptyCorpus
 from .masking import TOKEN_BY_TOKEN, MaskingStrategy, plan_random, plan_token_by_token
 from .model import forward
 from .train import Checkpoint, derive_seed
@@ -159,8 +159,6 @@ def score_corpus(
     most CHUNK_ROWS rows each, may split a log; threads take whole chunks and
     their results are read in order, so any count gives the same reports.
     """
-    if threads < 1:
-        raise ConfigInvalid(f"threads must be >= 1, not {threads!r}")
     corpus = list(corpus)
     return _score(ckpt, corpus, strategy, [derive_seed(seed, _STREAM_SCORE, i) for i in range(len(corpus))], threads)
 

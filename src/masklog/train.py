@@ -57,8 +57,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, not {self.epochs!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, not {self.batch_size!r}")
         if not 0.0 < self.mask_fraction <= 1.0:
             raise ValueError("mask_fraction must lie in (0, 1]")
         # written so that NaN fails each check

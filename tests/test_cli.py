@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import inspect
 import io
 import json
@@ -27,10 +26,9 @@ from masklog.errors import NoAnomaliesInTruth
 from masklog.manifest import file_digest, load_manifest, manifest_path_for
 from masklog.corpus import load_labeled, load_lines
 from masklog.masking import MaskingStrategy
-from masklog.model import ModelConfig
 from masklog.normalize import CleanLog
 from masklog.score import _STREAM_SCORE, score_corpus, score_log
-from masklog.train import TrainConfig, derive_seed, load_checkpoint, save_checkpoint
+from masklog.train import derive_seed, load_checkpoint, save_checkpoint
 from masklog.vocab import build_vocab, encode, load_vocab
 
 from conftest import run_cli
@@ -561,6 +559,22 @@ def _scores_with_repeats(text):
     return make
 
 
+def _unhashed_checkpoint_with_a_vocab_of_another_size(run, tmp):
+    header, tensors = load_container(run["ckpt"])
+    save_container(tmp / "unhashed.ckpt", {**header, "vocab_hash": ""}, tensors)
+    vocab = _write(tmp / "other_vocab.txt", "[PAD]\n[UNK]\n[MASK]\n[CLS]\nalpha\n")
+    return ["score", "--in", run["val"], "--vocab", vocab, "--checkpoint", tmp / "unhashed.ckpt",
+            "--out", tmp / "s.tsv"]
+
+
+def _rerun_after_an_input_was_deleted(run, tmp):
+    scores = tmp / "copied_scores.tsv"
+    scores.write_bytes(run["val_scores"].read_bytes())
+    assert run_cli("calibrate", "--scores", scores, "--out", tmp / "t.json") == 0
+    scores.unlink()
+    return ["rerun", "--manifest", manifest_path_for(tmp / "t.json")]
+
+
 def _threshold_with(**changes):
     def make(run, tmp):
         doc = json.loads(run["threshold"].read_text())
@@ -704,13 +718,32 @@ BAD_INPUTS = {
         "--test", r["test"], "--out", t / "grid.tsv", "--seed", -1]),
     **{f"train-{flag}-0-before-reading": ("ConfigInvalid", lambda r, t, flag=flag: [
         "train", "--in", t / "never-read.txt", "--vocab", t / "never-read.vocab", "--out", t / "m.ckpt",
-        f"--{flag}", 0]) for flag in ("d-model", "n-heads", "n-layers", "d-ff", "max-len")},
+        f"--{flag}", 0]) for flag in ("d-model", "n-heads", "n-layers", "d-ff", "max-len", "epochs", "batch-size")},
+    "train-max-len-1-before-reading": ("ConfigInvalid", lambda r, t: [
+        "train", "--in", t / "never-read.txt", "--vocab", t / "never-read.vocab", "--out", t / "m.ckpt",
+        "--max-len", 1]),
+    "synth-templates-1": ("ConfigInvalid", lambda r, t: [
+        "synth", "--out", t / "raw.log", "--labels-out", t / "raw.labels", "--templates", 1]),
+    **{f"score-mask-strategy-{text}-before-reading": ("ConfigInvalid", lambda r, t, text=text: [
+        "score", "--in", t / "never-read.txt", "--vocab", t / "never-read.vocab", "--checkpoint",
+        t / "never-read.ckpt", "--out", t / "s.tsv", "--mask-strategy", text]) for text in ("foo", "randomnan")},
+    "train-mask-fraction-1.5-before-reading": ("ConfigInvalid", lambda r, t: [
+        "train", "--in", t / "never-read.txt", "--vocab", t / "never-read.vocab", "--out", t / "m.ckpt",
+        "--mask-fraction", 1.5]),
     "train-d-model-10-n-heads-4-before-reading": ("ConfigInvalid", lambda r, t: [
         "train", "--in", t / "never-read.txt", "--vocab", t / "never-read.vocab", "--out", t / "m.ckpt",
         "--d-model", 10, "--n-heads", 4]),
     "score-threads-0-before-reading": ("ConfigInvalid", lambda r, t: [
         "score", "--in", t / "never-read.txt", "--vocab", t / "never-read.vocab", "--checkpoint",
         t / "never-read.ckpt", "--out", t / "s.tsv", "--threads", 0]),
+    "score-without-out": ("MissingInput", lambda r, t: [
+        "score", "--in", r["val"], "--vocab", r["vocab"], "--checkpoint", r["ckpt"]]),
+    "score-unhashed-checkpoint-with-a-vocab-of-another-size": (
+        "VocabMismatch", _unhashed_checkpoint_with_a_vocab_of_another_size),
+    "manifest-of-an-unknown-command": ("ConfigInvalid", _rerun_of(lambda doc: {**doc, "command": "nope"})),
+    "rerun-after-an-input-was-deleted": ("MissingInput", _rerun_after_an_input_was_deleted),
+    "build-vocab-min-freq-0": ("ConfigInvalid", lambda r, t: [
+        "build-vocab", "--in", r["train"], "--out", t / "v.txt", "--min-freq", 0]),
     # Training that overflows float32 on its first step.
     "train-learning-rate-1e308": ("DivergenceDetected", lambda r, t: [
         "train", "--in", r["train"], "--vocab", r["vocab"], "--out", t / "m.ckpt", "--learning-rate", 1e308]),
@@ -761,6 +794,14 @@ def test_ablate_masking_names_the_repeated_value(small_run, tmp_path, capsys, ca
     ("ablate-masking-seed-negative-before-reading", "--seed", ["grid.tsv"]),
     *((f"train-{flag}-0-before-reading", f"--{flag}", ["m.ckpt", "m.ckpt.log.tsv"])
       for flag in ("d-model", "n-heads", "n-layers", "d-ff", "max-len")),
+    ("train-max-len-1-before-reading", "--max-len", ["m.ckpt", "m.ckpt.log.tsv"]),
+    ("train-epochs-0-before-reading", "epochs", ["m.ckpt", "m.ckpt.log.tsv"]),
+    ("train-batch-size-0-before-reading", "batch_size", ["m.ckpt", "m.ckpt.log.tsv"]),
+    ("synth-templates-1", "templates", ["raw.log", "raw.labels"]),
+    ("score-mask-strategy-foo-before-reading", "--mask-strategy", ["s.tsv"]),
+    ("score-mask-strategy-randomnan-before-reading", "--mask-strategy", ["s.tsv"]),
+    ("train-mask-fraction-1.5-before-reading", "mask_fraction", ["m.ckpt", "m.ckpt.log.tsv"]),
+    ("build-vocab-min-freq-0", "min_freq", ["v.txt"]),
     ("train-d-model-10-n-heads-4-before-reading", "--n-heads", ["m.ckpt", "m.ckpt.log.tsv"]),
     ("score-threads-0-before-reading", "--threads", ["s.tsv"]),
     ("train-learning-rate-1e308", "non-finite weights", ["m.ckpt", "m.ckpt.log.tsv"]),
@@ -785,21 +826,17 @@ def test_main_raises_numpy_warnings_itself(small_run, tmp_path, capsys):
 
 
 def test_command_defaults_are_the_library_defaults():
-    """Each default that `_COMMANDS` writes again is the library's own."""
+    """Each default that `_COMMANDS` writes again, and does not take from a config class, is the library's own."""
 
     def default(fn, name):
         return inspect.signature(fn).parameters[name].default
 
-    configs = {f.name: f.default for cls in (TrainConfig, ModelConfig) for f in dataclasses.fields(cls)}
     library = {
-        "train": {k: configs[k] for k in cli._COMMANDS["train"]["defaults"]},
         "build-vocab": {"min_freq": default(build_vocab, "min_freq"), "max_vocab": default(build_vocab, "max_size")},
         "calibrate": {"percentile": default(select_threshold, "percentile")},
-        "score": {"mask_strategy": MaskingStrategy().describe(), "repeats": MaskingStrategy().repeats,
-                  "seed": default(score_corpus, "seed"), "threads": default(score_corpus, "threads")},
-        "ablate-masking": {"repeats": MaskingStrategy().repeats, "seed": default(ablate_masking, "seed")},
-        "ablate-finetune": {"mask_strategy": default(ablate_finetune, "strategy").describe(),
-                            "percentile": default(ablate_finetune, "percentile"),
+        "score": {"seed": default(score_corpus, "seed"), "threads": default(score_corpus, "threads")},
+        "ablate-masking": {"seed": default(ablate_masking, "seed")},
+        "ablate-finetune": {"percentile": default(ablate_finetune, "percentile"),
                             "seed": default(ablate_finetune, "seed")},
     }
     for name, theirs in library.items():
@@ -835,6 +872,32 @@ def test_option_surface_lists_every_settable_value():
     }
     assert found == {name: sorted(flags.split()) for name, flags in OPTION_SURFACE.items()}
     assert sum(len(flags) for name, flags in found.items() if name != "rerun") == 78
+
+
+_EXTREMES = ("0", "-1", "nan", "inf", "-inf", "1e308", str(2**70))
+# Every command's int and float options at each extreme. `synth` reads nothing, so a count of 2**70 that it
+# accepted would start that much work at once: those three draws are left out.
+_NUMERIC_OPTIONS = [
+    (name, key, value)
+    for name, cmd in cli._COMMANDS.items()
+    for key, default in cmd["defaults"].items() if type(default) in (int, float)
+    for value in _EXTREMES if not (name == "synth" and key != "seed" and value == str(2**70))
+]
+
+
+@pytest.mark.parametrize("name, key, value", _NUMERIC_OPTIONS)
+def test_every_numeric_option_is_refused_by_name_or_reaches_a_missing_input(tmp_path, capsys, name, key, value):
+    """Every path points into a missing directory: the value is refused, naming its option, or no work starts."""
+    missing = tmp_path / "missing"
+    paths = [f"{'--in' if p == 'in_' else '--' + p.replace('_', '-')}={missing / p}"
+             for p in cli._COMMANDS[name]["paths"]]
+    flag = "--" + key.replace("_", "-")
+    assert main([name, *paths, f"{flag}={value}"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "MissingInput" or (
+        err["error"] == "ConfigInvalid" and (flag in err["message"] or key in err["message"])), err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command, old_options, key", [

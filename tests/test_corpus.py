@@ -175,7 +175,7 @@ class TestSynthesize:
         assert 1.0 - unk / total >= 0.95
 
     def test_requires_two_templates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^templates must be >= 2"):
             synthesize(1, 10, 1, seed=0)
 
 

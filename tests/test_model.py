@@ -98,6 +98,8 @@ class TestInit:
             ModelConfig(vocab_size=2)
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=20, d_model=0)
+        with pytest.raises(ValueError, match="^max_len must be >= 2"):  # the bound `encode` holds
+            ModelConfig(vocab_size=20, max_len=1)
 
 
 class TestForward:

@@ -80,8 +80,9 @@ class TestTrain:
             train(pattern_seqs(n_copies=2), SMALL_CFG, TrainConfig(epochs=1, batch_size=8, seed=0))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
+        for name in ("epochs", "batch_size"):  # each refusal names its own field alone
+            with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+                TrainConfig(**{name: 0})
         with pytest.raises(ValueError):
             TrainConfig(mask_fraction=0.0)
         for bad in ({"learning_rate": 0.0}, {"learning_rate": -3e-3}, {"weight_decay": -1.0},
