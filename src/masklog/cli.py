@@ -644,7 +644,7 @@ def _setting(key: str, text, repeats: int = 1):
 
 
 # The least value of each count option: ModelConfig's bounds, and one thread.
-_LEAST = {**dict.fromkeys(_defaults(ModelConfig), 1), "max_len": 2, "threads": 1}
+_LEAST = {**ModelConfig.LEAST, "threads": 1}
 
 
 def _built(opts: dict) -> dict:

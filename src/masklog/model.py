@@ -54,6 +54,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -80,10 +81,12 @@ class ModelConfig:
     n_layers: int = 2
     d_ff: int = 256
     max_len: int = 128
+    # The least value of each dimension; max_len: the bound `vocab.encode` holds.
+    LEAST: ClassVar[dict] = {"d_model": 1, "n_heads": 1, "n_layers": 1, "d_ff": 1, "max_len": 2}
 
     def __post_init__(self):
-        for name, least in (("d_model", 1), ("n_heads", 1), ("n_layers", 1), ("d_ff", 1), ("max_len", 2)):
-            if getattr(self, name) < least:  # max_len: the bound `vocab.encode` holds
+        for name, least in self.LEAST.items():
+            if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, not {getattr(self, name)!r}")
         if self.vocab_size < 5:
             raise ValueError("vocab_size must cover the 4 specials plus content")

@@ -836,7 +836,8 @@ def test_command_defaults_are_the_library_defaults():
         "calibrate": {"percentile": default(select_threshold, "percentile")},
         "score": {"seed": default(score_corpus, "seed"), "threads": default(score_corpus, "threads")},
         "ablate-masking": {"seed": default(ablate_masking, "seed")},
-        "ablate-finetune": {"percentile": default(ablate_finetune, "percentile"),
+        "ablate-finetune": {"mask_strategy": default(ablate_finetune, "strategy").describe(),
+                            "percentile": default(ablate_finetune, "percentile"),
                             "seed": default(ablate_finetune, "seed")},
     }
     for name, theirs in library.items():
