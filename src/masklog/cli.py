@@ -58,7 +58,7 @@ from .normalize import CleanLog, clean_lines
 from .score import heatmap as compute_heatmap
 from .score import score_corpus
 from .train import TrainConfig, format_float, load_checkpoint, save_checkpoint, train
-from .vocab import build_vocab, encode, load_vocab, save_vocab
+from .vocab import build_vocab, check_vocab_bounds, encode, load_vocab, save_vocab
 
 
 def _require(opts, *keys) -> None:
@@ -651,7 +651,8 @@ def _built(opts: dict) -> dict:
     """`opts` as the runner takes them: each masking strategy and percentile built and checked.
 
     No file is read here. A negative `seed`, a model dimension or thread
-    count below its `_LEAST` and a `d_model` that `n_heads` does not divide are refused,
+    count below its `_LEAST`, a `d_model` that `n_heads` does not divide and
+    a `min_freq` or `max_vocab` that `check_vocab_bounds` refuses are refused,
     `mask_strategy` becomes a `MaskingStrategy`, and `strategies` and
     `percentiles` become lists of distinct values.
     """
@@ -663,6 +664,8 @@ def _built(opts: dict) -> dict:
             raise ConfigInvalid(f"--{key.replace('_', '-')} must be >= {least}, not {opts[key]}")
     if "d_model" in opts and opts["d_model"] % opts["n_heads"]:
         raise ConfigInvalid(f"--d-model {opts['d_model']} must be divisible by --n-heads {opts['n_heads']}")
+    if "min_freq" in opts:
+        check_vocab_bounds(opts["min_freq"], opts["max_vocab"])
     if "mask_strategy" in opts:
         built["mask_strategy"] = _setting("mask_strategy", opts["mask_strategy"], repeats)
     if "percentile" in opts:

@@ -1,12 +1,17 @@
 """Run manifests: enough recorded state to re-run a command bit-exactly.
 
 A manifest also records how the run went (`warnings`: each distinct warning
-the run gave; `runtime`: peak resident memory and the python, numpy and BLAS
-versions); `rerun` reads only the command, its options and its inputs.
+the run gave; `runtime`: peak resident memory, the python, numpy and BLAS
+versions and the BLAS kernel); `rerun` reads only the command, its options
+and its inputs. Artifact bytes are reproducible per (numpy, BLAS kernel): the
+kernel decides how a product's sums are blocked, so float32 training and the
+last bits of float64 scores can differ between kernels.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -47,8 +52,25 @@ def manifest_path_for(artifact_path) -> str:
     return str(artifact_path) + ".manifest.json"
 
 
+def _blas_core() -> str:
+    """The kernel that numpy's bundled OpenBLAS picked for this host (`SkylakeX`, `Haswell`...), or "unknown".
+
+    A `DYNAMIC_ARCH` OpenBLAS picks its kernel when it loads, from the CPU or
+    from `OPENBLAS_CORETYPE`; the scipy-openblas build numpy ships names it.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode("ascii", "replace")
+    return "unknown"
+
+
 def _runtime() -> dict:
-    """Peak resident set size of this process so far, and the library versions it runs."""
+    """Peak resident set size of this process so far, and the library versions and BLAS kernel it runs."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
@@ -60,6 +82,7 @@ def _runtime() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas,
+        "blas_core": _blas_core(),
     }
 
 

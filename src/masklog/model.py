@@ -10,18 +10,19 @@ scoring compute in float64, which keeps finite-difference gradient checks tight
 and scores within 1e-6 of an independent float64 reference.
 
 The loss and the anomaly score read the head's distribution only at masked
-positions. When a caller passes those positions, the encoder output is
-gathered to the masked (row, position) pairs before the final layer norm, so
-the final LN, the |V|-wide head and the softmax run on n_masked rows only.
-Without masked positions, full per-position distributions are formed.
+positions. When a caller passes those positions, both forwards trim the top
+layer to them: it computes LN1, K and V for every row, and Q, the attention
+core, the output projection, LN2, the FFN, the final LN, the |V|-wide head and
+the softmax only for the masked (row, position) pairs. Their queries sit in a
+[B, H, m, L] grid, one sequence of m slots per batch row (`_TokenRows.queries`),
+with empty slots where the masked counts differ. Without masked positions every
+position is a query, and full per-position distributions are formed.
 
 There are two forward passes, and `forward` alone picks one. Scoring sends
 one shape: a batch without padding (logs of one length) with the same
-number of masked positions in every sequence. `_forward_scores` runs that
-shape, keeps no activations and saves work three ways that leave every
-row's bits as they are:
-- The top layer computes K and V for every row, and Q, the attention core,
-  the output projection, LN2 and the FFN only for the masked rows.
+number of masked positions in every sequence, so its query grid has no empty
+slot. `_forward_scores` runs that shape, keeps no activations and saves work
+two more ways that leave every row's bits as they are:
 - In a batch of two or more sequences, layer 0's embedding sum, LN1 and
   Q/K/V run once per distinct (token id, position) pair and are indexed
   back to the rows. One sequence never repeats a pair.
@@ -31,13 +32,14 @@ Every other call (full per-position output, a padded batch, unequal masked
 counts) runs `_forward_cached`, the training forward, in float64.
 
 In `_forward_cached` a batch is unpadded (`_TokenRows`): its content tokens
-are gathered once into an [n_tokens, d] matrix, and everything below the
-head runs on those rows, forward and backward, except the attention core
-(scores, softmax, attention-weighted values), which runs on [B, H, L, d/H]
-with padded keys masked out. No row at a padding position is computed, and
-no id in a padding slot reaches the arithmetic. A batch without padding
-bypasses the gather and the scatter. A pass depends only on its parameters
-and its batch.
+are gathered once into an [n_tokens, d] matrix, and every layer below the top
+runs on those rows, forward and backward, except the attention core (scores,
+softmax, attention-weighted values), which runs on [B, H, L, d/H] with padded
+keys masked out. The top layer runs on the masked rows past K/V, forward and
+backward; its backward scatters their gradients back to the token rows. No row
+at a padding position is computed, and no id in a padding slot reaches the
+arithmetic. A batch without padding bypasses the gather and the scatter. A pass
+depends only on its parameters and its batch.
 
 Every projection, the head included, is one 2-D `rows @ W` product of at
 least two rows (`_TokenRows.affine`). Where a row's bits in such a product do
@@ -303,7 +305,9 @@ class _TokenRows:
     Rows follow the batch in row-major order with the padding slots left out.
     A padding-free batch (every batch `score` and `heatmap` run) needs no
     index: `valid` is None and its rows are the [B, L] grid itself, so
-    `gather`, `scatter` and `embed` reduce to reshapes.
+    `gather`, `scatter` and `embed` reduce to reshapes. The top layer's
+    queries are laid out by one too (`queries`), with a sequence's masked
+    pairs in place of its tokens.
     """
 
     def __init__(self, lengths, padded: int):
@@ -358,29 +362,39 @@ class _TokenRows:
         bs, ps = coords
         return (np.cumsum(self.lengths) - self.lengths)[bs] + ps
 
+    def queries(self, coords):
+        """The pairs in `coords` as a query grid: a `_TokenRows` whose sequence b holds b's pairs.
 
-def _masked_attention(q, k, v, scale):
-    """Attention of query rows q [B * m, d] over every key of their own sequence.
+        `coords` is sequence-major, as `_masked_coords` builds it, so row j of
+        the grid is pair j, repeats included. Each sequence has as many slots
+        as the largest count, and only unequal counts leave a slot empty.
+        """
+        counts = np.bincount(coords[0], minlength=self.grid[0])
+        return _TokenRows(counts, int(counts.max()))
 
-    Each of the B sequences has m queries (m = L below the top layer),
-    sequence-major, so they run as [B, H, m, L] scores against k and v [B, H, L, d / H].
+
+def _masked_attention(q, k, v, scale, queries):
+    """Attention of query rows q [n, d] over every key of their own sequence.
+
+    `queries` places the rows in a [B, H, m, L] grid of scores against k and
+    v [B, H, L, d / H]; the scoring shape leaves it no empty slot.
     """
-    n_batch, n_heads = k.shape[:2]
-    q = q.reshape(n_batch, -1, n_heads, q.shape[1] // n_heads).transpose(0, 2, 1, 3)
-    scores = q @ k.transpose(0, 1, 3, 2)
+    scores = queries.to_heads(q, k.shape[1]) @ k.transpose(0, 1, 3, 2)
     scores *= scale
-    ctx = _softmax(scores) @ v
-    return ctx.transpose(0, 2, 1, 3).reshape(n_batch * q.shape[2], -1)
+    return queries.from_heads(_softmax(scores) @ v)
 
 
 def _forward_cached(params: Parameters, ids, lengths, coords, dtype=np.float64):
-    """Training forward, and `forward` outside the scoring shape; `coords` = (rows, positions) to gather.
+    """Training forward, and `forward` outside the scoring shape: logits at `coords`.
 
-    The cache keeps what the backward needs. Every activation outside the
-    attention core is a `_TokenRows` matrix, one row per content token, and
-    every layer runs on all of them. Every activation is computed in `dtype`.
-    The attention bias is built in it too, because one float64 operand would
-    promote the whole pass back to float64.
+    `coords` = (rows, positions), sequence-major as `_masked_coords` builds
+    it. The cache keeps what the backward needs. Every activation outside the
+    attention core is a `_TokenRows` matrix. Below the top layer it has one
+    row per content token. The top layer computes LN1, K and V for every
+    token row, and everything past them for the rows at `coords` only, in
+    their order, with its queries in `tokens.queries(coords)`'s grid. Every
+    activation is computed in `dtype`. The attention bias is built in it too,
+    because one float64 operand would promote the whole pass back to float64.
     """
     cfg = params.config
     w = {k: v.astype(dtype, copy=False) for k, v in params.items()}
@@ -396,26 +410,30 @@ def _forward_cached(params: Parameters, ids, lengths, coords, dtype=np.float64):
     cache = {"tokens": tokens, "weights": w, "layers": []}
     for i in range(cfg.n_layers):
         pre = f"layers.{i}."
-        lc: dict = {}
+        top = i == cfg.n_layers - 1  # the top layer keeps the masked rows past K/V
+        rows, queries = (tokens.index(coords), tokens.queries(coords)) if top else (None, tokens)
+        lc: dict = {"rows": rows, "queries": queries}
         h, lc["ln1"] = _ln_forward(x, w[pre + "ln1.gain"], w[pre + "ln1.offset"])
-        q, k, v = (
+        k, v = (
             tokens.to_heads(tokens.affine(h, w[pre + "attn.w" + c], w[pre + "attn.b" + c]), n_heads)
-            for c in "qkv"
+            for c in "kv"
         )
+        hq, x = (h, x) if rows is None else (h[rows], x[rows])
+        q = queries.to_heads(tokens.affine(hq, w[pre + "attn.wq"], w[pre + "attn.bq"]), n_heads)
         scores = q @ k.transpose(0, 1, 3, 2) * scale
         if attn_bias is not None:
             scores += attn_bias
         attn = _softmax(scores)
-        ctx = tokens.from_heads(attn @ v)
+        ctx = queries.from_heads(attn @ v)
         x = x + tokens.affine(ctx, w[pre + "attn.wo"], w[pre + "attn.bo"])
         h2, lc["ln2"] = _ln_forward(x, w[pre + "ln2.gain"], w[pre + "ln2.offset"])
         z1 = tokens.affine(h2, w[pre + "ffn.w1"], w[pre + "ffn.b1"])
         fz, gelu_t = _gelu(z1)
         x = x + tokens.affine(fz, w[pre + "ffn.w2"], w[pre + "ffn.b2"])
-        lc.update(h=h, q=q, k=k, v=v, attn=attn, ctx=ctx, h2=h2, z1=z1, fz=fz, gelu_t=gelu_t)
+        lc.update(h=h, hq=hq, q=q, k=k, v=v, attn=attn, ctx=ctx, h2=h2, z1=z1, fz=fz, gelu_t=gelu_t)
         cache["layers"].append(lc)
 
-    hf, cache["final_ln"] = _ln_forward(x[tokens.index(coords)], w["final_ln.gain"], w["final_ln.offset"])
+    hf, cache["final_ln"] = _ln_forward(x, w["final_ln.gain"], w["final_ln.offset"])
     cache["hf"] = hf
     cache["logits"] = _head(tokens, hf, w, cfg.vocab_size)
     return cache
@@ -456,7 +474,8 @@ def _forward_scores(params: Parameters, ids, coords):
         x = tokens.embed(ids, w["embed.token"], w["embed.position"])
     for i in range(cfg.n_layers):
         pre = f"layers.{i}."
-        rows = tokens.index(coords) if i == cfg.n_layers - 1 else None  # the top layer keeps the masked rows
+        top = i == cfg.n_layers - 1  # the top layer keeps the masked rows past K/V
+        rows, queries = (tokens.index(coords), tokens.queries(coords)) if top else (None, tokens)
         h = _ln_scores(x, w[pre + "ln1.gain"], w[pre + "ln1.offset"])
         k, v = (tokens.affine(h, w[pre + "attn.w" + c], w[pre + "attn.b" + c]) for c in "kv")
         q_in = h if rows is None or shared is not None else h[rows]
@@ -468,7 +487,7 @@ def _forward_scores(params: Parameters, ids, coords):
             shared = None
         elif rows is not None:
             x = x[rows]
-        ctx = _masked_attention(q, tokens.to_heads(k, cfg.n_heads), tokens.to_heads(v, cfg.n_heads), scale)
+        ctx = _masked_attention(q, tokens.to_heads(k, cfg.n_heads), tokens.to_heads(v, cfg.n_heads), scale, queries)
         x += tokens.affine(ctx, w[pre + "attn.wo"], w[pre + "attn.bo"])
         h2 = _ln_scores(x, w[pre + "ln2.gain"], w[pre + "ln2.offset"])
         z1 = tokens.affine(h2, w[pre + "ffn.w1"], w[pre + "ffn.b1"])
@@ -582,12 +601,13 @@ def loss_and_gradients(
     Activations and gradients are computed in `dtype`; training passes
     float32, and the float64 default is the reference the tests hold it to.
 
-    The final LN, head and softmax, forward and backward, run only on the
-    masked (row, position) pairs; their input gradient is scattered back
-    with accumulation, so a position listed twice counts twice, as it does
-    in the loss. Below the head the backward runs on the content-token rows
-    the forward pass kept, so every weight gradient is one [n_tokens, m].T @
-    [n_tokens, n] product.
+    The top layer past K/V, the final LN, the head and the softmax, forward
+    and backward, run only on the masked (row, position) pairs. Their
+    gradients reach the token rows below by scatter-adds: the queries' into
+    the top LN1's input gradient, the residual's into the layer below. So a
+    position listed twice counts twice, as it does in the loss. Every other
+    activation gradient is a `_TokenRows` matrix of the rows the forward
+    kept, and every weight gradient is one [rows, m].T @ [rows, n] product.
 
     The backward lets go of the forward's cache as it goes: the logits and the
     head's input once read, and a layer's cache entry once the layer below it
@@ -611,10 +631,9 @@ def loss_and_gradients(
     g["out.b"] = dlogits.sum(0)
     dhf = dlogits @ w["out.w"].T
     del dlogits
-    dtop, g["final_ln.gain"], g["final_ln.offset"] = _ln_backward(
+    dx, g["final_ln.gain"], g["final_ln.offset"] = _ln_backward(
         dhf, w["final_ln.gain"], cache["final_ln"]
-    )
-    dx = _scatter_add(tokens.index((bs, ps)), dtop, int(lengths.sum()))  # [n_tokens, d]
+    )  # [n_masked, d]
 
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
     for i in reversed(range(cfg.n_layers)):
@@ -633,7 +652,8 @@ def loss_and_gradients(
         # attention branch
         g[pre + "attn.wo"] = lc["ctx"].T @ dx
         g[pre + "attn.bo"] = dx.sum(0)
-        dctx = tokens.to_heads(dx @ w[pre + "attn.wo"].T, cfg.n_heads)
+        rows, queries = lc["rows"], lc["queries"]
+        dctx = queries.to_heads(dx @ w[pre + "attn.wo"].T, cfg.n_heads)
         attn, q, k, v = lc["attn"], lc["q"], lc["k"], lc["v"]
         dv = attn.transpose(0, 1, 3, 2) @ dctx
         dscores = dctx @ v.transpose(0, 1, 3, 2)  # d attn, then d scores in place
@@ -644,8 +664,13 @@ def loss_and_gradients(
         dk = dscores.transpose(0, 1, 3, 2) @ q
         dk *= scale
         h = lc["h"]
-        dh = np.zeros_like(h)
-        for c, dproj in (("q", dq), ("k", dk), ("v", dv)):
+        dq = queries.from_heads(dq)
+        g[pre + "attn.wq"] = lc["hq"].T @ dq
+        g[pre + "attn.bq"] = dq.sum(0)
+        dh = dq @ w[pre + "attn.wq"].T
+        if rows is not None:  # the masked rows' queries, back onto the token rows
+            dh = _scatter_add(rows, dh, len(h))
+        for c, dproj in (("k", dk), ("v", dv)):
             dproj = tokens.from_heads(dproj)
             g[pre + "attn.w" + c] = h.T @ dproj
             g[pre + "attn.b" + c] = dproj.sum(0)
@@ -653,6 +678,8 @@ def loss_and_gradients(
         dattn_in, g[pre + "ln1.gain"], g[pre + "ln1.offset"] = _ln_backward(
             dh, w[pre + "ln1.gain"], lc["ln1"]
         )
+        if rows is not None:  # the residual, from the masked rows to every token row
+            dx = _scatter_add(rows, dx, len(h))
         dx += dattn_in
 
     g["embed.token"] = _scatter_add(tokens.gather(ids), dx, cfg.vocab_size)

@@ -58,6 +58,16 @@ class TokenSequence:
     raw_ref: tuple[str, int] = ("", 0)
 
 
+def check_vocab_bounds(min_freq: int, max_size: int) -> None:
+    """Refuse a min_freq below 1 and a max_size that leaves no room beside the special tokens."""
+    if min_freq < 1:
+        raise ConfigInvalid(f"min_freq must be >= 1, not {min_freq}")
+    if max_size <= len(SPECIAL_TOKENS):
+        raise ConfigInvalid(
+            f"max_vocab={max_size} leaves no room for a token beside the {len(SPECIAL_TOKENS)} special tokens"
+        )
+
+
 def build_vocab(corpus, min_freq: int = 1, max_size: int = 8192) -> Vocabulary:
     """Count whitespace tokens over cleaned logs and keep the frequent ones.
 
@@ -65,12 +75,7 @@ def build_vocab(corpus, min_freq: int = 1, max_size: int = 8192) -> Vocabulary:
     lexicographic tie-breaks, truncated to max_size - 4, and prefixed by the
     four special tokens. The result is byte-deterministic for a fixed corpus.
     """
-    if min_freq < 1:
-        raise ValueError("min_freq must be >= 1")
-    if max_size <= len(SPECIAL_TOKENS):
-        raise ConfigInvalid(
-            f"max_vocab={max_size} leaves no room for a token beside the {len(SPECIAL_TOKENS)} special tokens"
-        )
+    check_vocab_bounds(min_freq, max_size)
     counts: Counter = Counter()
     n_logs = 0
     for log in corpus:

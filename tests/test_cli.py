@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import glob
 import inspect
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import masklog
-from masklog import cli, errors
+from masklog import cli, errors, manifest
 from masklog.calibrate import select_threshold
 from masklog.checkpoint import load_container, save_container
 from masklog.cli import main, read_scores, read_table, read_threshold, read_verdicts
@@ -171,11 +172,12 @@ class TestArtifacts:
     def test_manifest_records_memory_and_versions(self, small_run, tmp_path):
         doc = load_manifest(manifest_path_for(small_run["val_scores"]))
         runtime = doc["runtime"]
-        assert set(runtime) == {"peak_rss_bytes", "python", "numpy", "blas"}
+        assert set(runtime) == {"peak_rss_bytes", "python", "numpy", "blas", "blas_core"}
         assert runtime["peak_rss_bytes"] > 10 * 2**20  # numpy alone takes more
         assert runtime["python"] == platform.python_version()
         assert runtime["numpy"] == np.__version__
         assert isinstance(runtime["blas"], str) and runtime["blas"]
+        assert runtime["blas_core"] == manifest._blas_core()
         # rerun reads the command, options and inputs only
         edited = tmp_path / "edited.manifest.json"
         doc["runtime"] = {"python": "0.0", "peak_rss_bytes": -1}
@@ -183,6 +185,25 @@ class TestArtifacts:
         before = file_digest(small_run["val_scores"])
         assert run_cli("rerun", "--manifest", edited) == 0
         assert file_digest(small_run["val_scores"]) == before
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64" or not glob.glob(
+    os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")),
+    reason="needs numpy's bundled x86-64 scipy-openblas, which can be told to run its Nehalem kernel")
+def test_blas_core_is_the_kernel_openblas_loaded():
+    src = str(Path(masklog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               OPENBLAS_CORETYPE="Nehalem", OPENBLAS_NUM_THREADS="1")
+    code = "from masklog.manifest import _blas_core; print(_blas_core())"
+    forced = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+                            check=True)
+    assert forced.stdout.strip() == "Nehalem"
+    assert manifest._blas_core() not in ("", "unknown")
+
+
+def test_blas_core_without_a_bundled_openblas_is_unknown(monkeypatch, tmp_path):
+    monkeypatch.setattr(manifest.glob, "glob", lambda pattern: [str(tmp_path / "libscipy_openblas_missing.so")])
+    assert manifest._blas_core() == "unknown"
 
 
 class TestRerunAndThreads:
@@ -899,6 +920,17 @@ def test_every_numeric_option_is_refused_by_name_or_reaches_a_missing_input(tmp_
     assert err["error"] == "MissingInput" or (
         err["error"] == "ConfigInvalid" and (flag in err["message"] or key in err["message"])), err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("min_freq", 0), ("min_freq", -1), ("max_vocab", 4), ("max_vocab", 0), ("max_vocab", -1),
+])
+def test_build_vocab_refuses_its_bounds_before_reading(tmp_path, capsys, key, value):
+    flag = "--" + key.replace("_", "-")
+    missing = tmp_path / "missing"
+    assert main(["build-vocab", f"--in={missing / 'in'}", f"--out={missing / 'v.txt'}", f"{flag}={value}"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigInvalid" and key in err["message"], err
 
 
 @pytest.mark.parametrize("command, old_options, key", [

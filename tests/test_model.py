@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -295,18 +296,26 @@ class TestGatheredHead:
         full = mlm_loss(forward(params, batch), targets, positions)
         assert abs(loss - full) <= 1e-12
 
-    def test_repeated_position_gradients_match_finite_differences(self, tiny_cfg, tiny_batch):
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_repeated_position_gradients_match_finite_differences(self, tiny_cfg, tiny_batch, n_layers):
+        # lengths 5, 8 and 3 with 3, 3 and 1 masked: the top layer's query grid has
+        # empty slots, and row 0's two slots at position 2 are one token row
         batch, targets, _ = tiny_batch
-        params = init_params(tiny_cfg, 3)
+        cfg = dataclasses.replace(tiny_cfg, n_heads=2, n_layers=n_layers)
+        params = init_params(cfg, 3)
         grads = backward(params, batch, targets, REPEATED_POSITIONS)
-        d = tiny_cfg.d_model
+        d = cfg.d_model
         repeated_target = int(targets[0, 2])
         repeated_token = int(batch[0].ids[2])
         coords = {
-            "out.w": [k * tiny_cfg.vocab_size + repeated_target for k in range(3)],
+            "out.w": [k * cfg.vocab_size + repeated_target for k in range(3)],
             "final_ln.gain": [0, 1, 2],
             "embed.token": [repeated_token * d + k for k in range(3)],
         }
+        for i in {0, n_layers - 1}:  # layer 0 and the top layer: each tensor's steepest coordinate
+            for name in ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "ffn.w1", "ffn.w2", "ln1.gain", "ln2.gain"):
+                name = f"layers.{i}.{name}"
+                coords[name] = [int(np.abs(grads[name]).argmax())]
         for name, indices in coords.items():
             for idx in indices:
                 fd = finite_difference(params, batch, targets, REPEATED_POSITIONS, name, idx)
@@ -535,7 +544,7 @@ class TestTrimmedTopLayer:
         forward(init_params(self.CFG, 7), batch, mask_positions=positions)
         assert calls == query_rows
 
-    def test_trim_leaves_the_training_forward_alone(self):
+    def test_the_training_forward_trims_the_top_layer_too(self):
         rng = np.random.default_rng(3)
         batch, positions = [make_seq(6, rng=rng) for _ in range(3)], [[0, 2], [1, 5], [2, 0]]
         params = init_params(self.CFG, 7)
@@ -543,8 +552,16 @@ class TestTrimmedTopLayer:
         coords = _masked_coords(positions, lengths)
         plain = _forward_cached(params, ids, lengths, coords)
         scored = _forward_scores(params, ids, coords)
-        assert len(plain["layers"]) == self.CFG.n_layers
-        assert all(len(lc["h2"]) == int(lengths.sum()) and "attn" in lc for lc in plain["layers"])
+        n_tokens, n_masked, (*below, top) = int(lengths.sum()), len(coords[0]), plain["layers"]
+        assert len(below) == self.CFG.n_layers - 1
+        for lc in below:  # every content row, in every cached activation
+            assert {len(lc[a]) for a in ("h", "hq", "ctx", "h2", "z1", "fz", "gelu_t")} == {n_tokens}
+            assert lc["q"].shape[2] == lc["attn"].shape[2] == 6
+        assert len(top["h"]) == n_tokens  # LN1, K and V: every row
+        assert top["k"].shape[2] == top["v"].shape[2] == 6
+        assert {len(top[a]) for a in ("hq", "ctx", "h2", "z1", "fz", "gelu_t")} == {n_masked}
+        assert top["q"].shape[2] == top["attn"].shape[2] == 2  # two query slots per sequence
+        assert plain["hf"].shape == (n_masked, self.CFG.d_model)
         assert np.abs(scored - plain["logits"]).max() <= 1e-12
 
 
