@@ -20,6 +20,9 @@ from .normalize import CleanLog, RawLog, normalize
 
 LABEL_NORMAL = "normal"
 LABEL_ANOMALOUS = "anomalous"
+# The most templates, normal or anomalous lines `synthesize` makes: it reads no input,
+# so an accepted count is work started at once (the fixture asks for 50 / 5,000 / 200).
+MAX_COUNT = 1_000_000
 
 
 def canon_label(label) -> str:
@@ -209,6 +212,9 @@ def synthesize(n_templates: int, n_normal: int, n_anomalies: int, seed: int) -> 
     for name, count in (("normal", n_normal), ("anomalies", n_anomalies)):
         if count < 0:
             raise ValueError(f"{name} must be >= 0, not {count!r}")
+    for name, count in (("templates", n_templates), ("normal", n_normal), ("anomalies", n_anomalies)):
+        if count > MAX_COUNT:
+            raise ValueError(f"{name} must be <= {MAX_COUNT}, not {count!r}")
     if n_normal + n_anomalies == 0:
         raise ValueError("need at least one normal or anomalous line")
     rng = np.random.default_rng(seed)

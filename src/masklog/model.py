@@ -9,37 +9,35 @@ precision. `forward`, `backward` (the gradient oracle) and therefore all
 scoring compute in float64, which keeps finite-difference gradient checks tight
 and scores within 1e-6 of an independent float64 reference.
 
-The loss and the anomaly score read the head's distribution only at masked
-positions. When a caller passes those positions, both forwards trim the top
-layer to them: it computes LN1, K and V for every row, and Q, the attention
-core, the output projection, LN2, the FFN, the final LN, the |V|-wide head and
-the softmax only for the masked (row, position) pairs. Their queries sit in a
-[B, H, m, L] grid, one sequence of m slots per batch row (`_TokenRows.queries`),
-with empty slots where the masked counts differ. Without masked positions every
-position is a query, and full per-position distributions are formed.
+There is one forward pass, `_forward_cached`: `forward` (and so scoring, the
+heatmap and the ablations) and `loss_and_gradients` run it. The loss and the
+anomaly score read the head's distribution only at masked positions, so
+when a caller passes them the top layer is trimmed: it computes LN1, K and V
+for every row, and Q, the attention core, the output projection, LN2, the
+FFN, the final LN, the |V|-wide head and the softmax only for the masked
+(row, position) pairs. Their queries sit in a [B, H, m, L] grid, one
+sequence of m slots per batch row (`_TokenRows.queries`), with empty slots
+where the masked counts differ. Without masked positions every position is
+a query, and full per-position distributions are formed.
 
-There are two forward passes, and `forward` alone picks one. Scoring sends
-one shape: a batch without padding (logs of one length) with the same
-number of masked positions in every sequence, so its query grid has no empty
-slot. `_forward_scores` runs that shape, keeps no activations and saves work
-two more ways that leave every row's bits as they are:
-- In a batch of two or more sequences, layer 0's embedding sum, LN1 and
-  Q/K/V run once per distinct (token id, position) pair and are indexed
-  back to the rows. One sequence never repeats a pair.
-- Layer norms and GELU run in place, in the training forward's operation
-  order.
-Every other call (full per-position output, a padded batch, unequal masked
-counts) runs `_forward_cached`, the training forward, in float64.
+The pass keeps each layer's activations only when a backward follows. When
+none does, layer norms and GELU write their outputs over their own scratch
+buffers, and a batch without padding of two or more sequences (every
+`score` and `heatmap` chunk of more than one variant) runs layer 0's
+embedding sum, LN1 and Q/K/V once per distinct (token id, position) pair,
+indexed back to the rows; one sequence never repeats a pair. Neither moves
+a row's bits: the layer norms and GELU run the same operations in the same
+order either way.
 
-In `_forward_cached` a batch is unpadded (`_TokenRows`): its content tokens
-are gathered once into an [n_tokens, d] matrix, and every layer below the top
-runs on those rows, forward and backward, except the attention core (scores,
-softmax, attention-weighted values), which runs on [B, H, L, d/H] with padded
-keys masked out. The top layer runs on the masked rows past K/V, forward and
-backward; its backward scatters their gradients back to the token rows. No row
-at a padding position is computed, and no id in a padding slot reaches the
-arithmetic. A batch without padding bypasses the gather and the scatter. A pass
-depends only on its parameters and its batch.
+A batch is unpadded (`_TokenRows`): its content tokens are gathered once into
+an [n_tokens, d] matrix, and every layer below the top runs on those rows,
+forward and backward, except the attention core (scores, softmax,
+attention-weighted values), which runs on [B, H, L, d/H] with padded keys
+masked out. The top layer's backward scatters the masked rows' gradients
+back to the token rows. No row at a padding position is computed, and no id
+in a padding slot reaches the arithmetic. A batch without padding bypasses
+the gather and the scatter. A pass depends only on its parameters and its
+batch.
 
 Every projection, the head included, is one 2-D `rows @ W` product of at
 least two rows (`_TokenRows.affine`). Where a row's bits in such a product do
@@ -189,9 +187,22 @@ def _stack_batch(batch, cfg: ModelConfig):
     return ids, lengths
 
 
-def _gelu(x):
-    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-    return 0.5 * x * (1.0 + t), t
+def _gelu(x, keep=True):
+    """GELU (tanh form) of x and the tanh `_gelu_grad` reads: (0.5 x (1 + t), t).
+
+    ((a x) x) x, + x, * c and tanh run in that order in one scratch buffer t,
+    then 0.5 x (1 + t). Without `keep` no backward follows: 1 + t is written
+    over t and the output over x, and the tanh returned is None.
+    """
+    t = np.multiply(x, _GELU_A)
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = np.multiply(x, 0.5, out=None if keep else x)
+    y *= np.add(t, 1.0, out=None if keep else t)
+    return y, t if keep else None
 
 
 def _gelu_grad(x, t, dy):
@@ -231,13 +242,23 @@ def _scatter_add(index, rows, n_out):
     return out
 
 
-def _ln_forward(x, gain, offset):
-    mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return gain * xhat + offset, (xhat, inv)
+def _ln_forward(x, gain, offset, keep=True):
+    """Layer norm over the last axis: (gain * xhat + offset, (xhat, inv)).
+
+    x - mean, the mean of its squares, 1 / sqrt(var + eps), the scale and the
+    affine map run in that order, each into a buffer made once. Without
+    `keep` no backward follows: the output is written over xhat, and the
+    cache returned is None.
+    """
+    xhat = np.subtract(x, x.mean(-1, keepdims=True))
+    inv = np.multiply(xhat, xhat).mean(-1, keepdims=True)
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    y = np.multiply(xhat, gain, out=None if keep else xhat)
+    y += offset
+    return y, (xhat, inv) if keep else None
 
 
 def _ln_backward(dy, gain, cache):
@@ -253,42 +274,6 @@ def _ln_backward(dy, gain, cache):
     dxh -= np.multiply(xhat, m2, out=tmp)
     dxh *= inv
     return dxh, dgain, doffset
-
-
-def _ln_scores(x, gain, offset):
-    """`_ln_forward`'s output, to the bit, in two buffers and with no cache.
-
-    The same operations run in the same order (x - mean, the mean of its
-    squares, 1 / sqrt(var + eps), then the scale and the affine map), each
-    written in place where `_ln_forward` makes a fresh temporary.
-    """
-    y = np.subtract(x, x.mean(-1, keepdims=True))
-    inv = np.multiply(y, y).mean(-1, keepdims=True)
-    inv += LN_EPS
-    np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    y *= inv
-    y *= gain
-    y += offset
-    return y
-
-
-def _gelu_scores(x):
-    """`_gelu`'s output, to the bit, written into `x`: one scratch buffer and no tanh kept.
-
-    ((a x) x) x, + x, * c and tanh run in that order in the scratch buffer,
-    then 0.5 x (1 + t) in `x`.
-    """
-    t = np.multiply(x, _GELU_A)
-    t *= x
-    t *= x
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    t += 1.0
-    x *= 0.5
-    x *= t
-    return x
 
 
 def _softmax(z):
@@ -373,28 +358,18 @@ class _TokenRows:
         return _TokenRows(counts, int(counts.max()))
 
 
-def _masked_attention(q, k, v, scale, queries):
-    """Attention of query rows q [n, d] over every key of their own sequence.
-
-    `queries` places the rows in a [B, H, m, L] grid of scores against k and
-    v [B, H, L, d / H]; the scoring shape leaves it no empty slot.
-    """
-    scores = queries.to_heads(q, k.shape[1]) @ k.transpose(0, 1, 3, 2)
-    scores *= scale
-    return queries.from_heads(_softmax(scores) @ v)
-
-
-def _forward_cached(params: Parameters, ids, lengths, coords, dtype=np.float64):
-    """Training forward, and `forward` outside the scoring shape: logits at `coords`.
+def _forward_cached(params: Parameters, ids, lengths, coords, dtype=np.float64, keep=False):
+    """The forward pass: the logits at `coords`, and with `keep` what the backward reads.
 
     `coords` = (rows, positions), sequence-major as `_masked_coords` builds
-    it. The cache keeps what the backward needs. Every activation outside the
-    attention core is a `_TokenRows` matrix. Below the top layer it has one
-    row per content token. The top layer computes LN1, K and V for every
-    token row, and everything past them for the rows at `coords` only, in
-    their order, with its queries in `tokens.queries(coords)`'s grid. Every
-    activation is computed in `dtype`. The attention bias is built in it too,
-    because one float64 operand would promote the whole pass back to float64.
+    it. Every activation outside the attention core is a `_TokenRows` matrix:
+    one row per content token below the top layer's K/V, one per pair of
+    `coords` past them, whose queries sit in `tokens.queries(coords)`'s grid.
+    Without `keep`, a padding-free batch of two or more sequences runs layer
+    0 up to Q/K/V on its distinct (token id, position) pairs, since the
+    embedding, LN1 and the projections see each row alone. Every activation
+    is computed in `dtype`. The attention bias is built in it too, because
+    one float64 operand would promote the whole pass back to float64.
     """
     cfg = params.config
     w = {k: v.astype(dtype, copy=False) for k, v in params.items()}
@@ -406,36 +381,46 @@ def _forward_cached(params: Parameters, ids, lengths, coords, dtype=np.float64):
     if tokens.valid is not None:
         attn_bias = np.where(tokens.valid, 0.0, -np.inf).astype(dtype, copy=False)[:, None, None, :]
 
-    x = tokens.embed(ids, w["embed.token"], w["embed.position"])
+    shared = None  # row -> its distinct (token id, position) pair, while layer 0 runs on the pairs
+    if not keep and tokens.valid is None and len(ids) > 1:
+        flat, pos = ids.reshape(-1), tokens.positions()
+        _, first, shared = np.unique(flat * ids.shape[1] + pos, return_index=True, return_inverse=True)
+        x = w["embed.token"][flat[first]] + w["embed.position"][pos[first]]
+    else:
+        x = tokens.embed(ids, w["embed.token"], w["embed.position"])
     cache = {"tokens": tokens, "weights": w, "layers": []}
     for i in range(cfg.n_layers):
         pre = f"layers.{i}."
         top = i == cfg.n_layers - 1  # the top layer keeps the masked rows past K/V
         rows, queries = (tokens.index(coords), tokens.queries(coords)) if top else (None, tokens)
-        lc: dict = {"rows": rows, "queries": queries}
-        h, lc["ln1"] = _ln_forward(x, w[pre + "ln1.gain"], w[pre + "ln1.offset"])
-        k, v = (
-            tokens.to_heads(tokens.affine(h, w[pre + "attn.w" + c], w[pre + "attn.b" + c]), n_heads)
-            for c in "kv"
-        )
-        hq, x = (h, x) if rows is None else (h[rows], x[rows])
-        q = queries.to_heads(tokens.affine(hq, w[pre + "attn.wq"], w[pre + "attn.bq"]), n_heads)
-        scores = q @ k.transpose(0, 1, 3, 2) * scale
+        h, ln1 = _ln_forward(x, w[pre + "ln1.gain"], w[pre + "ln1.offset"], keep)
+        k, v = (tokens.affine(h, w[pre + "attn.w" + c], w[pre + "attn.b" + c]) for c in "kv")
+        hq = h if rows is None or shared is not None else h[rows]
+        q = tokens.affine(hq, w[pre + "attn.wq"], w[pre + "attn.bq"])
+        if shared is not None:  # back to one row per token, or per masked pair
+            k, v = k[shared], v[shared]
+            shared = shared if rows is None else shared[rows]
+            x, q, shared = x[shared], q[shared], None
+        elif rows is not None:
+            x = x[rows]
+        k, v, q = tokens.to_heads(k, n_heads), tokens.to_heads(v, n_heads), queries.to_heads(q, n_heads)
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores *= scale
         if attn_bias is not None:
             scores += attn_bias
         attn = _softmax(scores)
         ctx = queries.from_heads(attn @ v)
-        x = x + tokens.affine(ctx, w[pre + "attn.wo"], w[pre + "attn.bo"])
-        h2, lc["ln2"] = _ln_forward(x, w[pre + "ln2.gain"], w[pre + "ln2.offset"])
+        x += tokens.affine(ctx, w[pre + "attn.wo"], w[pre + "attn.bo"])
+        h2, ln2 = _ln_forward(x, w[pre + "ln2.gain"], w[pre + "ln2.offset"], keep)
         z1 = tokens.affine(h2, w[pre + "ffn.w1"], w[pre + "ffn.b1"])
-        fz, gelu_t = _gelu(z1)
-        x = x + tokens.affine(fz, w[pre + "ffn.w2"], w[pre + "ffn.b2"])
-        lc.update(h=h, hq=hq, q=q, k=k, v=v, attn=attn, ctx=ctx, h2=h2, z1=z1, fz=fz, gelu_t=gelu_t)
-        cache["layers"].append(lc)
+        fz, gelu_t = _gelu(z1, keep)
+        x += tokens.affine(fz, w[pre + "ffn.w2"], w[pre + "ffn.b2"])
+        if keep:
+            cache["layers"].append(dict(rows=rows, queries=queries, ln1=ln1, ln2=ln2, h=h, hq=hq, q=q, k=k, v=v,
+                                        attn=attn, ctx=ctx, h2=h2, z1=z1, fz=fz, gelu_t=gelu_t))
 
-    hf, cache["final_ln"] = _ln_forward(x, w["final_ln.gain"], w["final_ln.offset"])
-    cache["hf"] = hf
-    cache["logits"] = _head(tokens, hf, w, cfg.vocab_size)
+    cache["hf"], cache["final_ln"] = _ln_forward(x, w["final_ln.gain"], w["final_ln.offset"], keep)
+    cache["logits"] = _head(tokens, cache["hf"], w, cfg.vocab_size)
     return cache
 
 
@@ -452,49 +437,6 @@ def _head(tokens, hf, w, vocab_size):
     return logits
 
 
-def _forward_scores(params: Parameters, ids, coords):
-    """Scoring forward in float64: logits at `coords`, the same count per sequence, of a padding-free batch.
-
-    It keeps nothing for a backward and saves work as the module docstring
-    lists. A row's layer-0 work depends only on its (token id, position) pair
-    because the embedding, LN1 and the Q/K/V projections see that row alone.
-    """
-    cfg = params.config
-    w = {k: v.astype(np.float64, copy=False) for k, v in params.items()}
-    n_batch, length = ids.shape
-    scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-    tokens = _TokenRows(np.full(n_batch, length), length)
-
-    shared = None  # row -> its distinct (token id, position) pair, while layer 0 runs on the pairs
-    if n_batch > 1:
-        flat, pos = ids.reshape(-1), tokens.positions()
-        _, first, shared = np.unique(flat * length + pos, return_index=True, return_inverse=True)
-        x = w["embed.token"][flat[first]] + w["embed.position"][pos[first]]
-    else:
-        x = tokens.embed(ids, w["embed.token"], w["embed.position"])
-    for i in range(cfg.n_layers):
-        pre = f"layers.{i}."
-        top = i == cfg.n_layers - 1  # the top layer keeps the masked rows past K/V
-        rows, queries = (tokens.index(coords), tokens.queries(coords)) if top else (None, tokens)
-        h = _ln_scores(x, w[pre + "ln1.gain"], w[pre + "ln1.offset"])
-        k, v = (tokens.affine(h, w[pre + "attn.w" + c], w[pre + "attn.b" + c]) for c in "kv")
-        q_in = h if rows is None or shared is not None else h[rows]
-        q = tokens.affine(q_in, w[pre + "attn.wq"], w[pre + "attn.bq"])
-        if shared is not None:  # back to one row per token
-            k, v = k[shared], v[shared]
-            keep = shared if rows is None else shared[rows]
-            x, q = x[keep], q[keep]
-            shared = None
-        elif rows is not None:
-            x = x[rows]
-        ctx = _masked_attention(q, tokens.to_heads(k, cfg.n_heads), tokens.to_heads(v, cfg.n_heads), scale, queries)
-        x += tokens.affine(ctx, w[pre + "attn.wo"], w[pre + "attn.bo"])
-        h2 = _ln_scores(x, w[pre + "ln2.gain"], w[pre + "ln2.offset"])
-        z1 = tokens.affine(h2, w[pre + "ffn.w1"], w[pre + "ffn.b1"])
-        x += tokens.affine(_gelu_scores(z1), w[pre + "ffn.w2"], w[pre + "ffn.b2"])
-    return _head(tokens, _ln_scores(x, w["final_ln.gain"], w["final_ln.offset"]), w, cfg.vocab_size)
-
-
 def forward(
     params: Parameters,
     batch: list[TokenSequence],
@@ -508,10 +450,11 @@ def forward(
     those (row, position) pairs, and the output is [n_masked, vocab] in
     row-major order of the pairs as given.
 
-    This is the one place that picks a forward. The scoring shape (no padding,
-    the same masked count in every sequence: every `score` and `heatmap` batch)
-    runs `_forward_scores`; every other call runs `_forward_cached`, the
-    float64 forward that the gradient oracle differentiates.
+    Every call runs `_forward_cached` in float64 and keeps nothing for a
+    backward; the gradient oracle differentiates the same loop. A batch
+    without padding of two or more sequences (every `score` and `heatmap`
+    chunk of more than one variant) runs layer 0 once per distinct (token id,
+    position) pair.
 
     Padding positions are excluded from attention and never computed, so a
     sequence's outputs do not depend on what the padding slots hold, nor, up to
@@ -525,16 +468,12 @@ def forward(
     ids, lengths = _stack_batch(batch, cfg)
     full = mask_positions is None
     coords = _masked_coords([range(n) for n in lengths] if full else mask_positions, lengths)
-    counts = np.bincount(coords[0], minlength=len(lengths))
-    if not full and lengths.min() == ids.shape[1] and counts.min() == counts.max():
-        logits = _forward_scores(params, ids, coords)
-    else:
-        cache = _forward_cached(params, ids, lengths, coords)
-        logits = cache["logits"]
-        if full:  # padding slots hold the head of an all-zero encoder row
-            w, logits = cache["weights"], np.empty(ids.shape + (cfg.vocab_size,))
-            logits[:] = _head(cache["tokens"], w["final_ln.offset"][None], w, cfg.vocab_size)
-            logits[coords] = cache["logits"]
+    cache = _forward_cached(params, ids, lengths, coords)
+    logits = cache["logits"]
+    if full:  # padding slots hold the head of an all-zero encoder row
+        w, logits = cache["weights"], np.empty(ids.shape + (cfg.vocab_size,))
+        logits[:] = _head(cache["tokens"], w["final_ln.offset"][None], w, cfg.vocab_size)
+        logits[coords] = cache["logits"]
     return ForwardOutput(logits=logits, probabilities=_softmax(logits))
 
 
@@ -618,7 +557,7 @@ def loss_and_gradients(
     ids, lengths = _stack_batch(batch, cfg)
     bs, ps = _masked_coords(mask_positions, lengths)
     tgt = _target_ids(targets, ids.shape, bs, ps)
-    cache = _forward_cached(params, ids, lengths, (bs, ps), dtype)
+    cache = _forward_cached(params, ids, lengths, (bs, ps), dtype, keep=True)
     w, tokens = cache["weights"], cache["tokens"]
     loss, dlogits = _masked_loss(cache.pop("logits"), tgt)  # the softmax, made d loss / d logits in place
 

@@ -10,8 +10,8 @@ holds padding, a chunk may split a log, and memory is bounded whatever a
 log's length or `repeats`. Threads take whole chunks, read back in order, so
 the thread count never changes a report.
 
-Each chunk is one call of `model.forward` in the scoring shape (no padding,
-the same masked count per variant), which runs the scoring forward. It runs
+Each chunk is one call of `model.forward` on a batch without padding, which
+runs the model's one forward pass and keeps nothing for a backward. It runs
 layer 0 once per distinct (token id, position) pair of the chunk: the
 variants of one log, and logs of one template, repeat most pairs. A chunk of
 one sequence skips that share.

@@ -4,6 +4,7 @@ import pytest
 from masklog.corpus import (
     LABEL_ANOMALOUS,
     LABEL_NORMAL,
+    MAX_COUNT,
     dedupe,
     load_labeled,
     split_corpus,
@@ -177,6 +178,12 @@ class TestSynthesize:
     def test_requires_two_templates(self):
         with pytest.raises(ValueError, match="^templates must be >= 2"):
             synthesize(1, 10, 1, seed=0)
+
+    @pytest.mark.parametrize("name", ["templates", "normal", "anomalies"])
+    def test_refuses_a_count_above_the_bound_before_any_work(self, name):
+        counts = {"templates": 10, "normal": 10, "anomalies": 1, name: MAX_COUNT + 1}
+        with pytest.raises(ValueError, match=f"^{name} must be <= {MAX_COUNT}, not {MAX_COUNT + 1}$"):
+            synthesize(counts["templates"], counts["normal"], counts["anomalies"], seed=0)
 
 
 class TestLabeledFiles:

@@ -17,12 +17,9 @@ from masklog.model import (
     LN_EPS,
     ModelConfig,
     _forward_cached,
-    _forward_scores,
     _gelu,
     _gelu_grad,
-    _gelu_scores,
     _ln_forward,
-    _ln_scores,
     _masked_coords,
     _scatter_add,
     _stack_batch,
@@ -34,9 +31,8 @@ from masklog.model import (
     mlm_loss,
     params_digest,
 )
-from masklog.masking import TOKEN_BY_TOKEN, MaskingStrategy, plan_random, plan_token_by_token
-from masklog.score import score_corpus, score_log
-from masklog.train import Checkpoint, TrainConfig, train
+from masklog.masking import plan_random, plan_token_by_token
+from masklog.train import TrainConfig, train
 from masklog.vocab import PAD_ID, TokenSequence
 
 from conftest import make_seq
@@ -346,7 +342,7 @@ class TestFloat32Path:
         batch, targets, positions = tiny_batch  # ragged: lengths 5, 8 and 3
         params = init_params(ModelConfig(**self.CFG), 4)
         ids, lengths = _stack_batch(batch, params.config)
-        cache = _forward_cached(params, ids, lengths, _masked_coords(positions, lengths), np.float32)
+        cache = _forward_cached(params, ids, lengths, _masked_coords(positions, lengths), np.float32, keep=True)
         assert cache["tokens"].valid is not None  # run unpadded, not as a [B, L] grid
         arrays = dict(_float_arrays(cache))
         assert "cache.logits" in arrays
@@ -487,6 +483,51 @@ class TestBackwardHelpers:
         np.testing.assert_allclose(got, expected, rtol=rtol, atol=0.0)
 
 
+def _ln_textbook(x, gain, offset):
+    """Layer norm as the expressions read, one temporary per operation: the reference."""
+    mu = x.mean(-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = xc * inv
+    return gain * xhat + offset, xhat, inv
+
+
+def _gelu_textbook(x):
+    """GELU (tanh form) as the expression reads, and its tanh: the reference."""
+    t = np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x * x * x))
+    return 0.5 * x * (1.0 + t), t
+
+
+class TestLeanElementwise:
+    """`_ln_forward` and `_gelu` run the textbook expressions' operations in the same order in
+    fewer buffers, so everything they return has the textbook's bits, in either dtype."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 16), (7, 16), (324, 128), (50, 256)])
+    def test_layer_norm_and_gelu_give_the_textbook_bits(self, dtype, shape):
+        rng = np.random.default_rng(shape[0])
+        x = rng.normal(0.0, 3.0, size=shape).astype(dtype)
+        gain, offset = (rng.normal(size=shape[1]).astype(dtype) for _ in range(2))
+        before = x.tobytes()
+
+        want, *want_cache = _ln_textbook(x, gain, offset)
+        y, cache = _ln_forward(x, gain, offset)
+        for got, ref in zip((y, *cache), (want, *want_cache)):  # output, xhat, inv
+            assert got.dtype == dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        lean, cache = _ln_forward(x, gain, offset, keep=False)
+        assert cache is None and lean.tobytes() == want.tobytes()
+
+        want, want_t = _gelu_textbook(x)
+        y, t = _gelu(x)
+        for got, ref in ((y, want), (t, want_t)):
+            assert got.dtype == dtype and got.tobytes() == ref.tobytes()
+        assert x.tobytes() == before  # kept for the backward
+        z = x.copy()
+        lean, t = _gelu(z, keep=False)
+        assert t is None and lean is z and lean.tobytes() == want.tobytes()
+
+
 class TestLossDecreases:
     def test_fifty_steps_cut_loss_by_twenty_percent(self):
         # 32 template-structured logs (8 copies of 4 patterns), one batch per step
@@ -530,19 +571,21 @@ class TestTrimmedTopLayer:
         assert np.abs(trimmed.logits - full.logits[bs, ps]).max() <= 1e-12
         assert np.abs(trimmed.probabilities - full.probabilities[bs, ps]).max() <= 1e-12
 
-    @pytest.mark.parametrize("positions, layout, query_rows", [
-        ([[0, 2], [1, 5], [2, 0]], "same-length", [18, 6]),  # two each: the top layer's queries are the masked rows
-        ([[0, 2], [1, 3, 5], [2]], "same-length", []),  # 2, 3 and 1: the training forward runs
-        ([[0, 2], [1, 7], [2, 0]], "padded", []),  # two each in a padded batch: the training forward runs
+    @pytest.mark.parametrize("positions, layout", [
+        ([[0, 2], [1, 5], [2, 0]], "same-length"),  # two each: the query grid has no empty slot
+        ([[0, 2], [1, 3, 5], [2]], "same-length"),  # 2, 3 and 1: empty slots
+        ([[0, 2], [1, 7], [2, 0]], "padded"),  # two each in a padded batch
+        ([[1, 4], [0, 2, 7], [1]], "padded"),
     ])
-    def test_trims_only_when_every_sequence_has_the_same_count(self, tiny_batch, monkeypatch, positions, layout,
-                                                               query_rows):
+    def test_every_masked_call_trims_the_top_layer(self, tiny_batch, monkeypatch, positions, layout):
         rng = np.random.default_rng(3)
         batch = tiny_batch[0] if layout == "padded" else [make_seq(6, rng=rng) for _ in range(3)]
-        calls, real = [], model._masked_attention
-        monkeypatch.setattr(model, "_masked_attention", lambda q, *a: calls.append(len(q)) or real(q, *a))
+        n_tokens, n_masked = sum(int(s.length) for s in batch), sum(len(p) for p in positions)
+        seen, real = [], _TokenRows.affine
+        monkeypatch.setattr(_TokenRows, "affine", lambda self, x, w, b: seen.append(len(x)) or real(self, x, w, b))
         forward(init_params(self.CFG, 7), batch, mask_positions=positions)
-        assert calls == query_rows
+        # the top layer's K and V; its Q, attn.wo, FFN in and FFN out; the head
+        assert seen[-7:] == [n_tokens] * 2 + [n_masked] * 5
 
     def test_the_training_forward_trims_the_top_layer_too(self):
         rng = np.random.default_rng(3)
@@ -550,8 +593,7 @@ class TestTrimmedTopLayer:
         params = init_params(self.CFG, 7)
         ids, lengths = _stack_batch(batch, self.CFG)
         coords = _masked_coords(positions, lengths)
-        plain = _forward_cached(params, ids, lengths, coords)
-        scored = _forward_scores(params, ids, coords)
+        plain = _forward_cached(params, ids, lengths, coords, keep=True)
         n_tokens, n_masked, (*below, top) = int(lengths.sum()), len(coords[0]), plain["layers"]
         assert len(below) == self.CFG.n_layers - 1
         for lc in below:  # every content row, in every cached activation
@@ -562,48 +604,6 @@ class TestTrimmedTopLayer:
         assert {len(top[a]) for a in ("hq", "ctx", "h2", "z1", "fz", "gelu_t")} == {n_masked}
         assert top["q"].shape[2] == top["attn"].shape[2] == 2  # two query slots per sequence
         assert plain["hf"].shape == (n_masked, self.CFG.d_model)
-        assert np.abs(scored - plain["logits"]).max() <= 1e-12
-
-
-class TestForwardRouting:
-    """`forward` sends the scoring shape (no padding, the same masked count in every
-    sequence) to `_forward_scores` and every other call to `_forward_cached`."""
-
-    CFG = ModelConfig(vocab_size=24, d_model=16, n_heads=2, n_layers=2, d_ff=32, max_len=8)
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = []
-        for name in ("_forward_scores", "_forward_cached"):
-            def spy(params, ids, *args, _name=name, _real=getattr(model, name)):
-                seen.append((_name, ids.shape))
-                return _real(params, ids, *args)
-            monkeypatch.setattr(model, name, spy)
-        return seen
-
-    @pytest.mark.parametrize("kind", ["token", "random"])
-    def test_scoring_chunks_run_the_scoring_forward(self, calls, kind):
-        ckpt = Checkpoint(params=init_params(self.CFG, 2), vocab_hash="", train_config=TrainConfig(), final_loss=0.0)
-        strategy = MaskingStrategy(kind=TOKEN_BY_TOKEN, fraction=1.0) if kind == "token" else MaskingStrategy()
-        rng = np.random.default_rng(4)
-        score_log(ckpt, make_seq(5, hi=24, rng=rng), strategy)
-        assert calls == [("_forward_scores", (5, 5) if kind == "token" else (1, 5))]
-        calls.clear()
-        corpus = [make_seq(n, hi=24, rng=rng) for n in (1, 4, 4, 6, 4)]
-        score_corpus(ckpt, corpus, strategy if kind == "token" else MaskingStrategy(repeats=2))
-        shapes = [(1, 1), (12, 4), (6, 6)] if kind == "token" else [(2, 1), (6, 4), (2, 6)]  # (variants, length)
-        assert sorted(calls) == sorted(("_forward_scores", shape) for shape in shapes)
-
-    @pytest.mark.parametrize("case", ["full", "padded", "unequal-counts"])
-    def test_other_calls_run_the_training_forward(self, calls, tiny_batch, case):
-        rng = np.random.default_rng(5)
-        batch, positions = [make_seq(6, hi=24, rng=rng) for _ in range(3)], None
-        if case == "padded":
-            batch, positions = tiny_batch[0], [[0, 2], [1, 7], [2, 0]]
-        elif case == "unequal-counts":
-            positions = [[0, 2], [1, 3, 5], [2]]
-        forward(init_params(self.CFG, 7), batch, mask_positions=positions)
-        assert [name for name, _ in calls] == ["_forward_cached"]
 
     def test_padding_slots_of_a_full_output_hold_the_head_of_the_final_ln_offset(self, tiny_batch):
         params = init_params(self.CFG, 7)
@@ -647,9 +647,9 @@ def _variants(seqs, plan, repeats=1):
 
 
 class TestScoringForward:
-    """In a padding-free batch of two or more sequences, layer 0 runs once per distinct
-    (token id, position) pair. Each sequence run alone is the bit-exact reference, and
-    the full per-position forward the 1e-12 one."""
+    """Without a backward, a padding-free batch of two or more sequences runs layer 0 once
+    per distinct (token id, position) pair. Each sequence run alone is the bit-exact
+    reference, and the full per-position forward the 1e-12 one."""
 
     # output widths that are multiples of 8, so a row's product bits do not depend on the row count
     @staticmethod
@@ -677,25 +677,22 @@ class TestScoringForward:
             assert got.tobytes() == forward(params, [seq], mask_positions=[pos]).logits.tobytes(), b
             assert np.abs(got - full[b, pos]).max() <= 1e-12, b
 
-    @pytest.mark.parametrize("shape", [(1, 16), (7, 16), (324, 128), (50, 256)])
-    def test_in_place_elementwise_ops_give_the_same_bits(self, shape):
-        rng = np.random.default_rng(shape[0])
-        x = rng.normal(0.0, 3.0, size=shape)
-        gain, offset = rng.normal(size=shape[1]), rng.normal(size=shape[1])
-        assert _ln_scores(x, gain, offset).tobytes() == _ln_forward(x, gain, offset)[0].tobytes()
-        assert _gelu_scores(x.copy()).tobytes() == _gelu(x)[0].tobytes()
-
     @pytest.mark.parametrize("n_logs, plan", [(1, "token"), (3, "token"), (3, "random"), (1, "random")])
-    def test_layer_zero_projections_see_only_the_distinct_pairs(self, monkeypatch, n_logs, plan):
+    @pytest.mark.parametrize("call", ["forward", "loss_and_gradients"])
+    def test_layer_zero_projections_see_only_the_distinct_pairs(self, monkeypatch, n_logs, plan, call):
         rng = np.random.default_rng(2)
         batch, positions = _variants([make_seq(5, rng=rng) for _ in range(n_logs)], plan)
         ids = np.stack([seq.ids[:5] for seq in batch])
-        pairs = len(np.unique(ids * 5 + np.arange(5))) if len(batch) > 1 else ids.size
         n_rows, n_masked = ids.size, sum(len(p) for p in positions)
+        # a training step keeps its activations for the backward and never shares
+        pairs = len(np.unique(ids * 5 + np.arange(5))) if len(batch) > 1 and call == "forward" else n_rows
         seen, real = [], _TokenRows.affine
         monkeypatch.setattr(_TokenRows, "affine", lambda self, x, w, b: seen.append(len(x)) or real(self, x, w, b))
-        forward(self._params(2), batch, mask_positions=positions)
-        assert pairs < n_rows or len(batch) == 1
+        if call == "forward":
+            forward(self._params(2), batch, mask_positions=positions)
+            assert pairs < n_rows or len(batch) == 1
+        else:
+            loss_and_gradients(self._params(2), batch, ids, positions)
         assert seen == [
             pairs, pairs, pairs, n_rows, n_rows, n_rows,  # layer 0: K, V, Q; out, FFN in, FFN out
             n_rows, n_rows, n_masked, n_masked, n_masked, n_masked,  # top layer, trimmed past K and V
