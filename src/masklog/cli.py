@@ -49,11 +49,12 @@ from .errors import (
     MasklogError,
     MissingInput,
     NonFiniteActivation,
+    OutOfMemory,
     VocabMismatch,
 )
 from .manifest import digest_map, file_digest, load_manifest, verify_inputs, write_manifest
 from .masking import MaskingStrategy
-from .model import ModelConfig
+from .model import ModelConfig, check_bounds
 from .normalize import CleanLog, clean_lines
 from .score import heatmap as compute_heatmap
 from .score import score_corpus
@@ -643,25 +644,23 @@ def _setting(key: str, text, repeats: int = 1):
         raise ConfigInvalid(f"--{option}: {e}") from None
 
 
-# The least value of each count option: ModelConfig's bounds, and one thread.
-_LEAST = {**ModelConfig.LEAST, "threads": 1}
+# Each count option's (least, most); `repeats` is MaskingStrategy's to check, when `_setting` builds one.
+_BOUNDS = {**ModelConfig.BOUNDS, **TrainConfig.BOUNDS, "threads": (1, 64)}
 
 
 def _built(opts: dict) -> dict:
     """`opts` as the runner takes them: each masking strategy and percentile built and checked.
 
-    No file is read here. A negative `seed`, a model dimension or thread
-    count below its `_LEAST`, a `d_model` that `n_heads` does not divide and
-    a `min_freq` or `max_vocab` that `check_vocab_bounds` refuses are refused,
-    `mask_strategy` becomes a `MaskingStrategy`, and `strategies` and
-    `percentiles` become lists of distinct values.
+    No file is read here. A negative `seed`, a count outside its `_BOUNDS`, a
+    `d_model` that `n_heads` does not divide and a `min_freq` or `max_vocab`
+    that `check_vocab_bounds` refuses are refused, `mask_strategy` becomes a
+    `MaskingStrategy`, and `strategies` and `percentiles` become lists of
+    distinct values.
     """
     built, repeats = dict(opts), opts.get("repeats", 1)
     if opts.get("seed", 0) < 0:
         raise ConfigInvalid(f"--seed must be a non-negative integer, not {opts['seed']}")
-    for key, least in _LEAST.items():
-        if opts.get(key, least) < least:
-            raise ConfigInvalid(f"--{key.replace('_', '-')} must be >= {least}, not {opts[key]}")
+    check_bounds(opts, _BOUNDS, flag=True)  # a ValueError, reported as ConfigInvalid
     if "d_model" in opts and opts["d_model"] % opts["n_heads"]:
         raise ConfigInvalid(f"--d-model {opts['d_model']} must be divisible by --n-heads {opts['n_heads']}")
     if "min_freq" in opts:
@@ -744,6 +743,8 @@ def _typed(error: Exception) -> MasklogError:
         return ConfigInvalid(str(error))
     if isinstance(error, RuntimeWarning):  # numpy's overflow or invalid value: a non-finite on its way
         return NonFiniteActivation(f"numpy warned: {error}")
+    if isinstance(error, MemoryError):
+        return OutOfMemory(str(error) or "out of memory")
     return MissingInput(str(error))
 
 
@@ -756,7 +757,7 @@ def main(argv=None) -> int:
                 run_rerun(ns.manifest)
             else:
                 _execute(ns.command, *_merge_options(ns.command, ns))
-    except (MasklogError, ValueError, struct.error, OSError, RuntimeWarning) as e:
+    except (MasklogError, ValueError, struct.error, OSError, RuntimeWarning, MemoryError) as e:
         error = _typed(e)
         print(json.dumps({"error": type(error).__name__, "message": str(error)}), file=sys.stderr)
         return 2

@@ -85,5 +85,9 @@ class ConfigInvalid(MasklogError):
     """A configuration file or flag value is not acceptable."""
 
 
+class OutOfMemory(MasklogError):
+    """A run could not allocate the memory it needed."""
+
+
 class MalformedInput(MasklogError, ValueError):
     """An input file is truncated, garbled or of the wrong kind (a ValueError too, for library callers)."""

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import check_bounds
 from .vocab import MASK_ID, TokenSequence
 
 RANDOM_FRACTION = "random_fraction"
@@ -33,8 +34,7 @@ class MaskingStrategy:
             raise ValueError(f"unknown masking kind {self.kind!r}")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError(f"fraction must lie in (0, 1], not {self.fraction!r}")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, not {self.repeats!r}")
+        check_bounds(vars(self), {"repeats": (1, 100_000)})  # (least, most)
         if self.kind == TOKEN_BY_TOKEN and self.repeats != 1:
             raise ValueError(f"repeats must be 1 with masking strategy token, which masks each position "
                              f"once, not {self.repeats!r}")

@@ -39,14 +39,8 @@ in a padding slot reaches the arithmetic. A batch without padding bypasses
 the gather and the scatter. A pass depends only on its parameters and its
 batch.
 
-Every projection, the head included, is one 2-D `rows @ W` product of at
-least two rows (`_TokenRows.affine`). Where a row's bits in such a product do
-not depend on how many rows it has, a log scores the same alone as in a batch
-of logs. OpenBLAS 0.3.31 on a SkylakeX core meets this when the output width
-is a multiple of 8 and the inner width is at most 384 (the scoring copy pads
-the head to such a width); d_model and d_ff are not padded. At widths outside
-that rule, batching can move a row's last bits, and so can the layer-0 share,
-which changes the row count of the Q/K/V products.
+Every projection, the head included, is one `_TokenRows.affine` product,
+whose docstring says when a log scores to the same bits alone as in a batch.
 """
 
 from __future__ import annotations
@@ -73,6 +67,15 @@ _EMBED_STD = 0.1
 _OUT_STD = 0.02  # small output head keeps the fresh model near-uniform over the vocabulary
 
 
+def check_bounds(values: dict, bounds: dict, flag: bool = False) -> None:
+    """ValueError for the first key of `bounds` whose value is outside its (least, most); `flag`: call it `--key`."""
+    for key, (least, most) in bounds.items():
+        value = values.get(key, least)
+        if not least <= value <= most:
+            name = "--" + key.replace("_", "-") if flag else key
+            raise ValueError(f"{name} must be {f'>= {least}' if value < least else f'<= {most}'}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -81,13 +84,12 @@ class ModelConfig:
     n_layers: int = 2
     d_ff: int = 256
     max_len: int = 128
-    # The least value of each dimension; max_len: the bound `vocab.encode` holds.
-    LEAST: ClassVar[dict] = {"d_model": 1, "n_heads": 1, "n_layers": 1, "d_ff": 1, "max_len": 2}
+    # Each dimension's (least, most); max_len's least is the bound `vocab.encode` holds.
+    BOUNDS: ClassVar[dict] = {"d_model": (1, 4096), "n_heads": (1, 4096), "n_layers": (1, 256),
+                              "d_ff": (1, 16384), "max_len": (2, 8192)}
 
     def __post_init__(self):
-        for name, least in self.LEAST.items():
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, not {getattr(self, name)!r}")
+        check_bounds(vars(self), self.BOUNDS)
         if self.vocab_size < 5:
             raise ValueError("vocab_size must cover the 4 specials plus content")
         if self.d_model % self.n_heads:
@@ -166,6 +168,20 @@ def init_params(cfg: ModelConfig, seed: int) -> Parameters:
         for name, shape, init in param_table(cfg)
     }
     return Parameters(config=cfg, tensors=tensors)
+
+
+def scoring_copy(params: Parameters) -> Parameters:
+    """The float64 weights scoring reads: `attn.w*`, `ffn.w*` and `out.w` zero-padded to a multiple of 8 columns.
+
+    `_TokenRows.affine` cuts the padding off again, and says why it is there.
+    Each tensor is written once into its float64 array, so no second copy of it is held.
+    """
+    tensors = {}
+    for name, t in params.items():
+        pad = -t.shape[1] % 8 if t.ndim == 2 and not name.startswith("embed.") else 0  # projections only
+        tensors[name] = np.zeros(t.shape[:-1] + (t.shape[-1] + pad,))
+        tensors[name][..., : t.shape[-1]] = t
+    return Parameters(params.config, tensors)
 
 
 def _stack_batch(batch, cfg: ModelConfig):
@@ -323,13 +339,20 @@ class _TokenRows:
         return token[ids[self.valid]] + position[self.positions()]
 
     def affine(self, x, weight, bias):
-        """x @ weight + bias for 2-D x, as one product of at least two rows.
+        """x @ weight + bias for 2-D x, on the columns `bias` names.
 
-        One row is multiplied as two equal rows and the first is kept: BLAS
-        runs a one-row product on its matrix-vector path, whose last bits
-        differ from the same row's inside a larger product.
+        The product rule, under which a log scores to the same bits alone as
+        in a batch: every product has at least two rows (one row is run as
+        two equal rows, since BLAS gives a lone row other bits), every float64
+        projection an output width that is a multiple of 8 (`scoring_copy`
+        pads it with zero columns, cut off here), and every inner width,
+        d_model or d_ff, is at most 384. Then a row's bits do not depend on
+        the row count; this was checked on OpenBLAS 0.3.31's SkylakeX kernel
+        only. Past 384 or on other kernels, batching and the layer-0 share
+        (which changes Q/K/V's row count) can move a row's last bits.
         """
         y = (x[[0, 0]] @ weight)[:1] if len(x) == 1 else x @ weight
+        y = y[:, : len(bias)]
         y += bias
         return y
 
@@ -420,18 +443,13 @@ def _forward_cached(params: Parameters, ids, lengths, coords, dtype=np.float64, 
                                         attn=attn, ctx=ctx, h2=h2, z1=z1, fz=fz, gelu_t=gelu_t))
 
     cache["hf"], cache["final_ln"] = _ln_forward(x, w["final_ln.gain"], w["final_ln.offset"], keep)
-    cache["logits"] = _head(tokens, cache["hf"], w, cfg.vocab_size)
+    cache["logits"] = _head(tokens, cache["hf"], w)
     return cache
 
 
-def _head(tokens, hf, w, vocab_size):
-    """Vocabulary logits of the final-LN rows `hf` [..., d]; finite, or NonFiniteActivation.
-
-    An `out.w` wider than the vocabulary (zero columns padding the scoring
-    copy) gives logits whose extra columns are dropped.
-    """
-    logits = tokens.affine(hf.reshape(-1, hf.shape[-1]), w["out.w"], w["out.b"])
-    logits = logits[:, :vocab_size].reshape(hf.shape[:-1] + (vocab_size,))
+def _head(tokens, hf, w):
+    """Vocabulary logits of the final-LN rows `hf` [rows, d]; finite, or NonFiniteActivation."""
+    logits = tokens.affine(hf, w["out.w"], w["out.b"])
     if not np.isfinite(logits).all():
         raise NonFiniteActivation("forward pass produced non-finite logits")
     return logits
@@ -451,10 +469,7 @@ def forward(
     row-major order of the pairs as given.
 
     Every call runs `_forward_cached` in float64 and keeps nothing for a
-    backward; the gradient oracle differentiates the same loop. A batch
-    without padding of two or more sequences (every `score` and `heatmap`
-    chunk of more than one variant) runs layer 0 once per distinct (token id,
-    position) pair.
+    backward; the gradient oracle differentiates the same loop.
 
     Padding positions are excluded from attention and never computed, so a
     sequence's outputs do not depend on what the padding slots hold, nor, up to
@@ -472,7 +487,7 @@ def forward(
     logits = cache["logits"]
     if full:  # padding slots hold the head of an all-zero encoder row
         w, logits = cache["weights"], np.empty(ids.shape + (cfg.vocab_size,))
-        logits[:] = _head(cache["tokens"], w["final_ln.offset"][None], w, cfg.vocab_size)
+        logits[:] = _head(cache["tokens"], w["final_ln.offset"][None], w)
         logits[coords] = cache["logits"]
     return ForwardOutput(logits=logits, probabilities=_softmax(logits))
 

@@ -14,16 +14,8 @@ Each chunk is one call of `model.forward` on a batch without padding, which
 runs the model's one forward pass and keeps nothing for a backward. It runs
 layer 0 once per distinct (token id, position) pair of the chunk: the
 variants of one log, and logs of one template, repeat most pairs. A chunk of
-one sequence skips that share.
-
-A log scores to the same bits alone as in a chunk only where the BLAS gives
-each row of a 2-D product the same bits whatever the product's row count
-(see `model`); the layer-0 share changes row counts as batching does.
-OpenBLAS 0.3.31 on a SkylakeX core does for output widths that are multiples
-of 8 and inner widths up to 384, so d_model and d_ff must both be such widths
-(the defaults, 128 and 256, are). Elsewhere a log's report can differ from
-`score_log` of it in the last bits, depending on which other variants share
-its chunks.
+one sequence skips that share. A log scores to the same bits alone as in a
+chunk under the product rule of `model._TokenRows.affine`.
 """
 
 from __future__ import annotations
@@ -154,10 +146,10 @@ def score_corpus(
     """Score logs, returned in input order; per-log seeds derive from (seed, index).
 
     Each log's report equals `score_log` of that log with its derived seed,
-    to the bit where the BLAS meets the condition in the module docstring;
-    elsewhere it may differ in the last bits. Chunks of masked variants, at
-    most CHUNK_ROWS rows each, may split a log; threads take whole chunks and
-    their results are read in order, so any count gives the same reports.
+    to the bit under the product rule of `model._TokenRows.affine`. Chunks
+    of masked variants, at most CHUNK_ROWS rows each, may split a log;
+    threads take whole chunks and their results are read in order, so any
+    count gives the same reports.
     """
     corpus = list(corpus)
     return _score(ckpt, corpus, strategy, [derive_seed(seed, _STREAM_SCORE, i) for i in range(len(corpus))], threads)

@@ -17,6 +17,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,10 +27,12 @@ from .masking import plan_random
 from .model import (
     ModelConfig,
     Parameters,
+    check_bounds,
     init_params,
     loss_and_gradients,
     param_table,
     params_digest,
+    scoring_copy,
 )
 
 # Sub-seed stream codes, fanned out of the run seed.
@@ -55,12 +58,10 @@ class TrainConfig:
     grad_clip: float | None = 1.0
     warmup_steps: int = 0
     seed: int = 0
+    BOUNDS: ClassVar[dict] = {"epochs": (1, 100_000), "batch_size": (1, 1_000_000)}  # (least, most)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, not {self.epochs!r}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, not {self.batch_size!r}")
+        check_bounds(vars(self), self.BOUNDS)
         if not 0.0 < self.mask_fraction <= 1.0:
             raise ValueError("mask_fraction must lie in (0, 1]")
         # written so that NaN fails each check
@@ -98,23 +99,10 @@ class Checkpoint:
         return cached
 
     def scoring_params(self) -> Parameters:
-        """float64 parameters, cast once per instance, `out.w`/`out.b` zero-padded to a multiple of 8 columns.
-
-        Scoring reads this copy; training updates its own `Parameters`. `forward`
-        drops the padded logits. OpenBLAS computes a row of a product 130 columns
-        wide (the fixture's |V|) with bits that depend on the product's row count;
-        at a multiple of 8 they do not, so a log scores the same alone as in a batch.
-        """
-        cached = getattr(self, "_scoring_params", None)
-        if cached is None:
-            tensors = {k: v.astype(np.float64) for k, v in self.params.items()}
-            pad = -tensors["out.b"].shape[0] % 8
-            if pad:
-                tensors["out.w"] = np.pad(tensors["out.w"], ((0, 0), (0, pad)))
-                tensors["out.b"] = np.pad(tensors["out.b"], (0, pad))
-            cached = Parameters(self.params.config, tensors)
-            object.__setattr__(self, "_scoring_params", cached)
-        return cached
+        """`model.scoring_copy` of these parameters, made once per instance; training updates its own."""
+        if getattr(self, "_scoring_params", None) is None:
+            object.__setattr__(self, "_scoring_params", scoring_copy(self.params))
+        return self._scoring_params
 
 
 # float64 elements per block of an AdamW sweep (256 KiB): a block's gradient, moments,

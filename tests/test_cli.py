@@ -816,8 +816,8 @@ def test_ablate_masking_names_the_repeated_value(small_run, tmp_path, capsys, ca
     *((f"train-{flag}-0-before-reading", f"--{flag}", ["m.ckpt", "m.ckpt.log.tsv"])
       for flag in ("d-model", "n-heads", "n-layers", "d-ff", "max-len")),
     ("train-max-len-1-before-reading", "--max-len", ["m.ckpt", "m.ckpt.log.tsv"]),
-    ("train-epochs-0-before-reading", "epochs", ["m.ckpt", "m.ckpt.log.tsv"]),
-    ("train-batch-size-0-before-reading", "batch_size", ["m.ckpt", "m.ckpt.log.tsv"]),
+    ("train-epochs-0-before-reading", "--epochs", ["m.ckpt", "m.ckpt.log.tsv"]),
+    ("train-batch-size-0-before-reading", "--batch-size", ["m.ckpt", "m.ckpt.log.tsv"]),
     ("synth-templates-1", "templates", ["raw.log", "raw.labels"]),
     ("score-mask-strategy-foo-before-reading", "--mask-strategy", ["s.tsv"]),
     ("score-mask-strategy-randomnan-before-reading", "--mask-strategy", ["s.tsv"]),
@@ -904,6 +904,8 @@ _NUMERIC_OPTIONS = [
     for key, default in cmd["defaults"].items() if type(default) in (int, float)
     for value in _EXTREMES
 ]
+# The count options with an upper bound, far above each default: 2**70 is refused by name before any read.
+_BOUNDED = {"d_model", "n_heads", "n_layers", "d_ff", "max_len", "epochs", "batch_size", "repeats", "threads"}
 
 
 @pytest.mark.parametrize("name, key, value", _NUMERIC_OPTIONS)
@@ -918,6 +920,26 @@ def test_every_numeric_option_is_refused_by_name_or_reaches_a_missing_input(tmp_
     err = json.loads(line)
     assert err["error"] == "MissingInput" or (
         err["error"] == "ConfigInvalid" and (flag in err["message"] or key in err["message"])), err
+    if key in _BOUNDED and value == str(2**70):
+        assert err["error"] == "ConfigInvalid" and flag in err["message"], err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 8.00 TiB for an array"), MemoryError()],
+                         ids=["numpy-message", "bare"])
+def test_a_memory_error_is_one_typed_line(tmp_path, capsys, monkeypatch, error):
+    """A run that cannot allocate exits 2 with one `OutOfMemory` line; the runner raises, nothing is allocated."""
+
+    def runner(opts):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS["train"], "runner", runner)
+    assert main(["train", "--in", str(tmp_path / "in"), "--vocab", str(tmp_path / "v"),
+                 "--out", str(tmp_path / "m.ckpt")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "OutOfMemory" and err["error"] in _ERROR_NAMES, err
+    assert err["message"] == (str(error) or "out of memory")
     assert not list(tmp_path.iterdir())
 
 

@@ -107,6 +107,12 @@ class TestStrategy:
         random3 = MaskingStrategy(fraction=0.25, repeats=3)
         assert random3.describe() == "random0.25"  # repeats are recorded on their own
 
+    def test_repeats_have_an_upper_bound(self):
+        MaskingStrategy(repeats=100_000)  # the bound itself is allowed; nothing is scored here
+        for repeats in (100_001, 2**70):
+            with pytest.raises(ValueError, match=f"^repeats must be <= 100000, not {repeats}$"):
+                MaskingStrategy(repeats=repeats)
+
     @pytest.mark.parametrize("repeats", [0, 2, 5])
     def test_token_masks_each_position_once(self, repeats):
         with pytest.raises(ValueError, match="repeats must be"):

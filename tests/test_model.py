@@ -97,6 +97,10 @@ class TestInit:
             ModelConfig(vocab_size=20, d_model=0)
         with pytest.raises(ValueError, match="^max_len must be >= 2"):  # the bound `encode` holds
             ModelConfig(vocab_size=20, max_len=1)
+        for name, (_, most) in ModelConfig.BOUNDS.items():  # each upper bound is checked, and is far above its default
+            assert most >= 32 * getattr(ModelConfig(vocab_size=20), name)
+            with pytest.raises(ValueError, match=f"^{name} must be <= {most}, not {2**70}$"):
+                ModelConfig(vocab_size=20, **{name: 2**70})
 
 
 class TestForward:

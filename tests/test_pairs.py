@@ -15,6 +15,10 @@ WALL = {10: (10.0, 9.0), 11: (12.0, 12.5), 12: (11.0, 8.0), 13: (13.0, 10.0)}
 TRAIN = {10: (100.0, 120.0), 11: (90.0, 80.0), 12: (110.0, 130.0), 13: (95.0, 99.0)}
 END_TO_END = [{"name": "wall_s", "better": "lower"}, {"name": "train_tokens_per_s", "better": "higher"},
               {"name": "score_p50_ms", "better": "lower"}]
+# (parent, change) per-layer metrics per seed, which only a traced run reports; detect.busy_s reads 0 at the parent
+FORWARD = {10: (2.0, 1.5), 11: (2.2, 2.4), 12: (1.8, 1.6), 13: (2.1, 1.9)}
+PER_LAYER = [{"name": "model.forward_s", "better": "lower"}, {"name": "detect.busy_s", "better": "lower"},
+             {"name": "score.logs", "better": "higher"}]
 
 
 def _env(tree):
@@ -28,12 +32,15 @@ def canned(monkeypatch):
     calls = []
 
     def fake_run(argv, cwd, capture_output, text):
-        assert argv[1:3] == ["perfbench/run.py", "--workload"] and argv[-2:] == ["--trace", "0"]
-        tree = Path(cwd).name
+        assert argv[1:3] == ["perfbench/run.py", "--workload"] and argv[-2] == "--trace"
+        tree, trace = Path(cwd).name, int(argv[-1])
         seed, side = int(argv[argv.index("--seed") + 1]), 0 if tree == "P" else 1
         calls.append((seed, "parent" if side == 0 else "change"))
         metrics = {"wall_s": {"value": WALL[seed][side], "unit": "s"},
                    "train_tokens_per_s": {"value": TRAIN[seed][side], "unit": "tokens/s"}}
+        if trace:
+            metrics = {"model.forward_s": {"value": FORWARD[seed][side], "unit": "s"},
+                       "detect.busy_s": {"value": 0.0 if side == 0 else 0.01, "unit": "s"}}
         correct = not (seed == 12 and side == 1)
         final = {"correct": correct, "attempted": 10, "failed": 0 if correct else 1, "metrics": metrics}
         stdout = f"env {json.dumps(_env(tree))}\n== table\n{json.dumps(final)}\n"
@@ -79,3 +86,24 @@ def test_cli_writes_every_run_and_keeps_other_workloads(canned, tmp_path):
     assert set(doc["summary"]) == {"large-vocab", "fixture"}
     assert doc["summary"]["fixture"]["wall_s"]["change_wins"] == 3
     assert doc["summary"]["large-vocab"]["wall_s"]["change_wins"] == 0
+
+
+def test_traced_pairs_summarize_the_per_layer_metrics(canned, tmp_path):
+    change = tmp_path / "C"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END, "per_layer": PER_LAYER}))
+    out = tmp_path / "BENCH_trace.json"
+    argv = ["P", str(change), "--workload", "fixture", "--seeds", "10-13", "--seconds", "55", "--out", str(out)]
+    assert pairs.main([*argv, "--trace", "1"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["command"].endswith("--seconds 55 --trace 1")
+    summary = doc["summary"]["fixture"]
+    assert set(summary) == {"pairs", "model.forward_s", "detect.busy_s"}  # score.logs: no run reports it
+    forward = summary["model.forward_s"]
+    assert forward["parent_median"] == pytest.approx(2.05) and forward["change_median"] == pytest.approx(1.75)
+    assert forward["change_wins"] == 3  # lower is better; seed 11 is the loss
+    busy = summary["detect.busy_s"]
+    assert busy["parent_median"] == 0.0 and busy["change_vs_parent"] is None and busy["change_wins"] == 0
+    with pytest.raises(SystemExit):  # the file holds traced runs: untraced ones are not mixed into it
+        pairs.main(argv)
+    assert json.loads(out.read_text()) == doc

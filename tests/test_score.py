@@ -106,7 +106,7 @@ class TestScoreLog:
         assert ckpt.scoring_params() is cached
         assert cached.config == ckpt.params.config
         assert set(cached.tensors) == set(ckpt.params.tensors)
-        for name, tensor in ckpt.params.items():  # out.w/out.b sliced to |V|
+        for name, tensor in ckpt.params.items():  # a projection's padded columns sliced off
             assert cached[name].dtype == np.float64
             assert np.array_equal(cached[name][..., : tensor.shape[-1]], tensor)
 
@@ -209,20 +209,20 @@ class TestBatchedScoring:
     """`score_corpus` scores variants of one length together, in chunks that may split a log.
 
     Per-log `score_log` is the reference, to the bit. Bit identity rests on
-    the BLAS giving a row of a 2-D product the same bits whatever the row
-    count. Checked on OpenBLAS 0.3.31 (DYNAMIC_ARCH, SkylakeX core, numpy
-    2.4.6), where it holds for output widths that are multiples of 8 and inner
-    widths up to 384: both dims below meet it.
+    the product rule of `model._TokenRows.affine`, checked on OpenBLAS 0.3.31
+    (DYNAMIC_ARCH, SkylakeX core, numpy 2.4.6). The scoring copy pads every
+    projection to a multiple of 8 columns, so d_model 36 and d_ff 50 meet it too.
     """
 
     @pytest.mark.parametrize("dims", [
         dict(d_model=32, n_heads=2, n_layers=1, d_ff=48),  # the toy_model dims
         dict(),  # the defaults: d_model 128, 4 heads, 2 layers, d_ff 256
-    ], ids=["toy", "default"])
+        dict(d_model=36, n_heads=2, d_ff=50),  # widths that only the scoring copy's padding makes multiples of 8
+    ], ids=["toy", "default", "unpadded-widths"])
     @pytest.mark.parametrize("strategy", [RANDOM15, MaskingStrategy(repeats=3), TOKEN],
                              ids=["random", "random-repeats3", "token"])
     def test_batched_equals_per_log(self, dims, strategy):
-        cfg = ModelConfig(vocab_size=130, max_len=32, **dims)  # |V| 130: the head is padded to 136
+        cfg = ModelConfig(vocab_size=130, max_len=32, **dims)  # |V| 130: the head is padded to 136 columns
         ckpt = _untrained_checkpoint(cfg, 4)
         corpus = _mixed_corpus(cfg.vocab_size)
         seeds = [derive_seed(8, score_mod._STREAM_SCORE, i) for i in range(len(corpus))]
@@ -255,18 +255,33 @@ class TestBatchedScoring:
             assert [r.token_probs for r in threaded] == [r.token_probs for r in serial], strategy
             assert [r.masked_count for r in threaded] == [r.masked_count for r in serial], strategy
 
-    def test_scoring_head_is_padded_and_dropped(self):
-        ckpt = _untrained_checkpoint(ModelConfig(vocab_size=130, d_model=32, n_heads=2, d_ff=48, max_len=32), 2)
+    def test_scoring_copy_pads_every_projection_to_8_columns(self):
+        cfg = ModelConfig(vocab_size=130, d_model=36, n_heads=2, n_layers=2, d_ff=50, max_len=32)
+        ckpt = _untrained_checkpoint(cfg, 2)
         padded = ckpt.scoring_params()
-        assert padded["out.w"].shape == (32, 136) and padded["out.b"].shape == (136,)
-        assert not padded["out.w"][:, 130:].any() and not padded["out.b"][130:].any()
         assert ckpt.scoring_params() is padded
+        assert padded.config == cfg and set(padded.tensors) == set(ckpt.params.tensors)
+        projections = [name for name in padded.tensors if name.rsplit(".", 1)[-1].startswith("w")]
+        assert len(projections) == 6 * cfg.n_layers + 1  # attn.wq/wk/wv/wo and ffn.w1/w2 per layer, and out.w
+        for name, tensor in ckpt.params.items():
+            copy = padded[name]
+            assert copy.dtype == np.float64, name
+            if name in projections:
+                rows, cols = tensor.shape
+                assert copy.shape == (rows, cols + -cols % 8), name
+                assert np.array_equal(copy[:, :cols], tensor) and not copy[:, cols:].any(), name
+            else:  # biases, layer-norm vectors and embeddings are not padded
+                assert copy.shape == tensor.shape and np.array_equal(copy, tensor), name
+        assert padded["out.w"].shape == (36, 136) and padded["layers.0.ffn.w1"].shape == (36, 56)
+        assert padded["layers.0.attn.wq"].shape == (36, 40) and padded["layers.0.ffn.w2"].shape == (50, 40)
         seqs = _mixed_corpus(130)[:6]
         positions = [[0]] * len(seqs)
-        out = forward(padded, seqs, mask_positions=positions)
-        ref = forward(ckpt.params, seqs, mask_positions=positions)
-        assert out.logits.shape == ref.logits.shape == (6, 130)
-        np.testing.assert_allclose(out.probabilities, ref.probabilities, rtol=0, atol=1e-12)
+        for masks in (positions, None):  # the masked rows only, and every position of a padded batch
+            out = forward(padded, seqs, mask_positions=masks)
+            ref = forward(ckpt.params, seqs, mask_positions=masks)
+            assert out.logits.shape == ref.logits.shape and out.logits.shape[-1] == 130
+            np.testing.assert_allclose(out.logits, ref.logits, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.probabilities, ref.probabilities, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("length, strategy, masked", [(128, TOKEN, 128), (20, MaskingStrategy(repeats=1000), 3000)],
                              ids=["token-128", "repeats-1000"])

@@ -83,6 +83,8 @@ class TestTrain:
         for name in ("epochs", "batch_size"):  # each refusal names its own field alone
             with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
                 TrainConfig(**{name: 0})
+            with pytest.raises(ValueError, match=f"^{name} must be <= {TrainConfig.BOUNDS[name][1]}, not {2**70}$"):
+                TrainConfig(**{name: 2**70})
         with pytest.raises(ValueError):
             TrainConfig(mask_fraction=0.0)
         for bad in ({"learning_rate": 0.0}, {"learning_rate": -3e-3}, {"weight_decay": -1.0},

@@ -2,16 +2,19 @@
 
     python tools/pairs.py PARENT_DIR CHANGE_DIR --workload fixture --seeds 2201-2210 --seconds 55 --out BENCH_x.json
 
-Each seed is one pair: `perfbench/run.py --workload W --seed S --seconds T --trace 0` runs once in each
-tree, from that tree's root. The parent runs first in the first pair, the change in the second, and so
-on, so a machine that speeds up or slows down over the session does not favour one side.
+Each seed is one pair: `perfbench/run.py --workload W --seed S --seconds T --trace X` runs once in each
+tree, from that tree's root. `--trace` (0 or 1, default 0) is passed through: at 0 the runs report the
+end-to-end metrics, at 1 the per-layer ones. The parent runs first in the first pair, the change in the
+second, and so on, so a machine that speeds up or slows down over the session does not favour one side.
 
 The output holds the two trees' source sha256 (as perfbench reports them), the command, the machine,
 every run's environment line and final line (`correct: false` runs included), and a summary per
-workload: for each end-to-end metric of the change tree's BENCHMARK.json, the medians of both sides,
-the parent's interquartile range, in how many pairs the change was better, and the change's median
-relative to the parent's. A metric is summarised over the pairs in which both runs report it. When
-`--out` already exists, its runs of other workloads are kept, so one file can gather every workload.
+workload: for each metric the runs report (the `end_to_end` list of the change tree's BENCHMARK.json, or
+its `per_layer` list with `--trace 1`), the medians of both sides, the parent's interquartile range, in
+how many pairs the change was better, and the change's median relative to the parent's (null when the
+parent's is 0). A metric is summarised over the pairs in which both runs report it. When `--out` already
+exists, its runs of other workloads are kept, so one file can gather every workload; a file written with
+the other `--trace` value is refused.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ def seed_range(text: str) -> list[int]:
     return seeds
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in `tree`: its environment line and its final line."""
+def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One perfbench run in `tree`: its environment line and its final line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
@@ -49,13 +52,14 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return {"env": env, "result": result}
 
 
-def run_pairs(parent: str, change: str, workload: str, seeds: list[int], seconds: float) -> list[dict]:
+def run_pairs(parent: str, change: str, workload: str, seeds: list[int], seconds: float,
+              trace: int = 0) -> list[dict]:
     """Every run of the pairs, in the order they ran; the first side alternates between pairs."""
     runs = []
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            run = run_once(parent if side == "parent" else change, workload, seed, seconds)
+            run = run_once(parent if side == "parent" else change, workload, seed, seconds, trace)
             runs.append({"workload": workload, "side": side, "seed": seed, **run})
             print(f"{workload} seed {seed} {side}: correct={run['result'].get('correct')}", file=sys.stderr)
     return runs
@@ -68,7 +72,7 @@ def _iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+def summarize(runs: list[dict], declared: list[dict]) -> dict:
     """Per workload: the pair count and, per metric, medians, the parent's IQR, change wins and relative change."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -77,7 +81,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             if r["workload"] == workload:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"].get("metrics", {})
         entry: dict = {"pairs": len(pairs)}
-        for metric in end_to_end:
+        for metric in declared:
             name, better = metric["name"], metric["better"]
             both = [(p["parent"][name]["value"], p["change"][name]["value"])
                     for p in pairs.values() if name in p.get("parent", {}) and name in p.get("change", {})]
@@ -91,7 +95,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "change_median": change_median,
                 "parent_iqr": _iqr(old),
                 "change_wins": sum((b < a) if better == "lower" else (b > a) for a, b in both),
-                "change_vs_parent": change_median / parent_median - 1.0,
+                "change_vs_parent": change_median / parent_median - 1.0 if parent_median else None,
             }
             if len(both) != len(pairs):
                 entry[name]["pairs"] = len(both)
@@ -105,7 +109,7 @@ def _one(values: set, what: str):
     return next(iter(values)) if len(values) == 1 else sorted(map(str, values))
 
 
-def bench_document(runs: list[dict], end_to_end: list[dict], what: str, seconds: float) -> dict:
+def bench_document(runs: list[dict], declared: list[dict], what: str, seconds: float, trace: int = 0) -> dict:
     envs = [r["env"] for r in runs if r["env"]]
     workloads = list(dict.fromkeys(r["workload"] for r in runs))
     shas = {side: _one({r["env"]["source_sha256"] for r in runs if r["env"] and r["side"] == side},
@@ -118,10 +122,10 @@ def bench_document(runs: list[dict], end_to_end: list[dict], what: str, seconds:
         "machine": machine,
         "command": f"python3 perfbench/run.py --workload "
                    f"{workloads[0] if len(workloads) == 1 else '{' + ','.join(workloads) + '}'}"
-                   f" --seed <seed> --seconds {seconds:g} --trace 0",
+                   f" --seed <seed> --seconds {seconds:g} --trace {trace}",
         "parent_source_sha256": shas["parent"],
         "change_source_sha256": shas["change"],
-        "summary": summarize(runs, end_to_end),
+        "summary": summarize(runs, declared),
         "runs": runs,
     }
 
@@ -133,26 +137,32 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, help="A-B: one pair per seed")
     parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: traced runs, summarised over BENCHMARK.json's per_layer metrics")
     parser.add_argument("--out", required=True)
     parser.add_argument("--what", default="perfbench end-to-end runs of a parent and a change tree; parent and "
                         "change alternate within each pair, and which side runs first alternates between pairs")
     args = parser.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
-        end_to_end = json.load(f)["end_to_end"]
+        declared = json.load(f)["per_layer" if args.trace else "end_to_end"]
     kept = []
     if os.path.exists(args.out):
         with open(args.out) as f:
-            kept = [r for r in json.load(f)["runs"] if r["workload"] != args.workload]
-    runs = kept + run_pairs(args.parent, args.change, args.workload, args.seeds, args.seconds)
-    doc = bench_document(runs, end_to_end, args.what, args.seconds)
+            old = json.load(f)
+        if old.get("command", "").endswith("--trace 1") != bool(args.trace):
+            parser.error(f"{args.out} holds runs of the other --trace value, not --trace {args.trace}")
+        kept = [r for r in old["runs"] if r["workload"] != args.workload]
+    runs = kept + run_pairs(args.parent, args.change, args.workload, args.seeds, args.seconds, args.trace)
+    doc = bench_document(runs, declared, args.what, args.seconds, args.trace)
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
     for name, stats in doc["summary"][args.workload].items():
         if isinstance(stats, dict):
+            relative = "n/a" if stats["change_vs_parent"] is None else f"{stats['change_vs_parent']:+.1%}"
             print(f"{args.workload} {name}: {stats['parent_median']:.6g} -> {stats['change_median']:.6g} "
-                  f"({stats['change_vs_parent']:+.1%}, {stats['change_wins']}/{doc['summary'][args.workload]['pairs']} "
+                  f"({relative}, {stats['change_wins']}/{doc['summary'][args.workload]['pairs']} "
                   f"wins, parent IQR {stats['parent_iqr']:.4g})")
     return 0
 
