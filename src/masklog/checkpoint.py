@@ -2,8 +2,9 @@
 
 Layout: magic, little-endian u32 header length, UTF-8 ``key=value`` lines,
 u32 tensor count, then one record per tensor (u16 name length, name, u8 rank,
-u32 dims, row-major float32 little-endian payload). Tensors are written in
-sorted name order so identical contents produce identical bytes.
+u32 dims, row-major float32 little-endian payload), and nothing after it.
+Tensors are written in sorted name order so identical contents produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -68,4 +69,6 @@ def load_container(path) -> tuple[dict, dict]:
             dims = unpack(f"<{rank}I", f"the dims of {name}")
             payload = read(4 * math.prod(dims), f"the payload of {name}")  # Python ints: no overflow
             tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        if f.tell() != size:
+            raise MalformedInput(f"{path}: {size - f.tell()} bytes follow the last tensor")
     return header, tensors

@@ -171,14 +171,19 @@ def init_params(cfg: ModelConfig, seed: int) -> Parameters:
 
 
 def scoring_copy(params: Parameters) -> Parameters:
-    """The float64 weights scoring reads: `attn.w*`, `ffn.w*` and `out.w` zero-padded to a multiple of 8 columns.
+    """The weights scoring reads: float64, with `attn.w*`, `ffn.w*` and `out.w` zero-padded to a multiple of 8 columns.
 
     `_TokenRows.affine` cuts the padding off again, and says why it is there.
     Each tensor is written once into its float64 array, so no second copy of it is held.
+    The embedding tables are only gathered by rows, which the pass casts itself: they are
+    these parameters' own arrays, not copies.
     """
     tensors = {}
     for name, t in params.items():
-        pad = -t.shape[1] % 8 if t.ndim == 2 and not name.startswith("embed.") else 0  # projections only
+        if name.startswith("embed."):
+            tensors[name] = t
+            continue
+        pad = -t.shape[1] % 8 if t.ndim == 2 else 0  # projections only
         tensors[name] = np.zeros(t.shape[:-1] + (t.shape[-1] + pad,))
         tensors[name][..., : t.shape[-1]] = t
     return Parameters(params.config, tensors)
@@ -306,7 +311,7 @@ class _TokenRows:
     Rows follow the batch in row-major order with the padding slots left out.
     A padding-free batch (every batch `score` and `heatmap` run) needs no
     index: `valid` is None and its rows are the [B, L] grid itself, so
-    `gather`, `scatter` and `embed` reduce to reshapes. The top layer's
+    `gather` and `scatter` reduce to reshapes. The top layer's
     queries are laid out by one too (`queries`), with a sequence's masked
     pairs in place of its tokens.
     """
@@ -331,12 +336,6 @@ class _TokenRows:
     def positions(self):
         """The position of each row within its sequence."""
         return self.gather(np.broadcast_to(np.arange(self.grid[1]), self.grid))
-
-    def embed(self, ids, token, position):
-        """Token plus position embedding of every row."""
-        if self.valid is None:
-            return (token[ids] + position[: self.grid[1]]).reshape(-1, token.shape[1])
-        return token[ids[self.valid]] + position[self.positions()]
 
     def affine(self, x, weight, bias):
         """x @ weight + bias for 2-D x, on the columns `bias` names.
@@ -392,10 +391,12 @@ def _forward_cached(params: Parameters, ids, lengths, coords, dtype=np.float64, 
     0 up to Q/K/V on its distinct (token id, position) pairs, since the
     embedding, LN1 and the projections see each row alone. Every activation
     is computed in `dtype`. The attention bias is built in it too, because
-    one float64 operand would promote the whole pass back to float64.
+    one float64 operand would promote the whole pass back to float64. The
+    embedding tables are not cast: only their gathered rows are, before the
+    sum, so a float32 table gives the bits of its float64 copy.
     """
     cfg = params.config
-    w = {k: v.astype(dtype, copy=False) for k, v in params.items()}
+    w = {k: v if k.startswith("embed.") else v.astype(dtype, copy=False) for k, v in params.items()}
     n_heads = cfg.n_heads
     scale = 1.0 / math.sqrt(cfg.d_model // n_heads)
     tokens = _TokenRows(lengths, ids.shape[1])
@@ -404,13 +405,13 @@ def _forward_cached(params: Parameters, ids, lengths, coords, dtype=np.float64, 
     if tokens.valid is not None:
         attn_bias = np.where(tokens.valid, 0.0, -np.inf).astype(dtype, copy=False)[:, None, None, :]
 
+    flat, pos = tokens.gather(ids), tokens.positions()
     shared = None  # row -> its distinct (token id, position) pair, while layer 0 runs on the pairs
     if not keep and tokens.valid is None and len(ids) > 1:
-        flat, pos = ids.reshape(-1), tokens.positions()
         _, first, shared = np.unique(flat * ids.shape[1] + pos, return_index=True, return_inverse=True)
-        x = w["embed.token"][flat[first]] + w["embed.position"][pos[first]]
-    else:
-        x = tokens.embed(ids, w["embed.token"], w["embed.position"])
+        flat, pos = flat[first], pos[first]
+    x = w["embed.token"][flat].astype(dtype, copy=False)  # each token row cast before the sum
+    x += w["embed.position"][pos]
     cache = {"tokens": tokens, "weights": w, "layers": []}
     for i in range(cfg.n_layers):
         pre = f"layers.{i}."
@@ -476,8 +477,8 @@ def forward(
     rounding in a padded batch, on its batch companions. Padding positions in a
     full per-position output hold the distribution of an all-zero encoder row,
     the head applied to `final_ln.offset`. The same parameters and batch give
-    the same bits on every call. Weights already held as float64 are used
-    without a copy.
+    the same bits on every call. Weights already held as float64, and the
+    embedding tables in either float dtype, are used without a copy.
     """
     cfg = params.config
     ids, lengths = _stack_batch(batch, cfg)

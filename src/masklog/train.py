@@ -2,11 +2,11 @@
 
 The optimizer is adaptive moment estimation with decoupled weight decay
 (decay on matrix-shaped tensors only) and global-norm gradient clipping. Each
-step's forward and backward pass run in float32, the weights' storage dtype;
-the clip norm and the optimizer moments stay float64. The optimizer sweeps each
-tensor in cache-sized blocks and writes the float32 weights in place, with the
-same float64 operations per element as the whole-tensor update. The whole run
-is a pure function of its inputs and seed.
+step's forward and backward pass run in float32, the weights' storage dtype,
+and so do the optimizer's moments and update; only the clip norm is summed in
+float64. The optimizer sweeps each tensor in cache-sized blocks and writes the
+float32 weights in place, with the same float32 operations per element as the
+whole-tensor update. The whole run is a pure function of its inputs and seed.
 """
 
 from __future__ import annotations
@@ -99,41 +99,50 @@ class Checkpoint:
         return cached
 
     def scoring_params(self) -> Parameters:
-        """`model.scoring_copy` of these parameters, made once per instance; training updates its own."""
+        """`model.scoring_copy` of these parameters, made once per instance; training updates its own.
+
+        The copy holds float64 weights, but shares the float32 embedding tables of `params`.
+        """
         if getattr(self, "_scoring_params", None) is None:
             object.__setattr__(self, "_scoring_params", scoring_copy(self.params))
         return self._scoring_params
 
 
-# float64 elements per block of an AdamW sweep (256 KiB): a block's gradient, moments,
-# weights and three buffers, about 1.5 MB, fit a 2 MB per-core L2. It must be at least
-# 128, numpy's pairwise-sum leaf, so that the clip norm's block sums split where
-# numpy's own sum splits.
+# elements per block of an AdamW sweep: a block's gradient, moments, weights and
+# scratch buffer, five float32 arrays of 128 KiB, fit a 2 MB per-core L2 with room
+# to spare. It must be at least 128, numpy's pairwise-sum leaf, so that the clip
+# norm's block sums split where numpy's own sum splits.
 _BLOCK = 32_768
 
 
 class _AdamW:
-    """AdamW with float64 moments, one flat array per tensor, updated in place by blocks.
+    """AdamW with float32 moments, one flat array per tensor, updated in place by blocks.
 
-    Each tensor is swept in blocks of `_BLOCK` elements. A block's gradient is
-    cast to float64 into a block-sized buffer, and its clip scaling, moment
-    updates, update and decay run there, in the operation order of
+    The clip norm is summed in float64 (`_sum_squares`). Each gradient is then
+    cast to float32 once (a float32 one is used as it is) and spent: each
+    tensor is swept in blocks of `_BLOCK` elements, and a block's clip scaling,
+    moment updates, update and decay run in place on its gradient and one
+    block-sized buffer, in float32 and in the operation order of
     ``w - (lr * (m / bc1) / (sqrt(v / bc2) + eps) + lr * wd * w)``, before the
-    result is rounded into the float32 weights in place. Every element sees the
-    float64 operations of the whole-tensor formula, so the result is the same
-    to the bit. The weights must be C-contiguous float32; a tensor that is not
-    is replaced by a contiguous float32 copy on the first step.
+    result is written over the float32 weights. Every element sees the float32
+    operations of the whole-tensor formula, so the result is the same to the
+    bit. The weights must be C-contiguous float32; a tensor that is not is
+    replaced by a contiguous float32 copy on the first step.
     """
 
     def __init__(self, tensors: dict, cfg: TrainConfig):
         self.cfg = cfg
         self.step = 0
-        self.m = {k: np.zeros(v.size) for k, v in tensors.items()}
-        self.v = {k: np.zeros(v.size) for k, v in tensors.items()}
-        self._bufs = tuple(np.zeros(_BLOCK) for _ in range(3))
+        self.m = {k: np.zeros(v.size, np.float32) for k, v in tensors.items()}
+        self.v = {k: np.zeros(v.size, np.float32) for k, v in tensors.items()}
+        self._tmp = np.zeros(_BLOCK, np.float32)
+        self._squares = np.zeros(_BLOCK)  # float64, for the clip norm
 
     def apply(self, tensors: dict, grads: dict) -> float | None:
-        """One step; returns the pre-clip global gradient norm, or None when clipping is off."""
+        """One step; returns the pre-clip global gradient norm, or None when clipping is off.
+
+        The sweep writes over float32 gradients, so `grads` is spent.
+        """
         c = self.cfg
         self.step += 1
         lr = c.learning_rate
@@ -148,14 +157,13 @@ class _AdamW:
         bc1 = 1.0 - c.beta1**self.step
         bc2 = 1.0 - c.beta2**self.step
         for name, g in flat.items():
+            g = g.astype(np.float32, copy=False)
             tensors[name] = np.ascontiguousarray(tensors[name], dtype=np.float32)
             decay = tensors[name].ndim == 2 and c.weight_decay
             w, m, v = tensors[name].reshape(-1), self.m[name], self.v[name]
             for lo in range(0, g.size, _BLOCK):
                 hi = min(lo + _BLOCK, g.size)
-                gb, tmp, wb = (buf[: hi - lo] for buf in self._bufs)
-                mb, vb = m[lo:hi], v[lo:hi]
-                np.copyto(gb, g[lo:hi])
+                gb, mb, vb, wb, tmp = g[lo:hi], m[lo:hi], v[lo:hi], w[lo:hi], self._tmp[: hi - lo]
                 if scale is not None:
                     gb *= scale
                 mb *= c.beta1
@@ -166,10 +174,9 @@ class _AdamW:
                 # gb is spent: it holds sqrt(v / bc2) + eps, then the decay term
                 update = np.multiply(np.divide(mb, bc1, out=tmp), lr, out=tmp)
                 update /= np.add(np.sqrt(np.divide(vb, bc2, out=gb), out=gb), c.adam_eps, out=gb)
-                np.copyto(wb, w[lo:hi])
                 if decay:
                     update += np.multiply(wb, lr * c.weight_decay, out=gb)
-                np.subtract(wb, update, out=w[lo:hi])
+                wb -= update
         return norm
 
     def _sum_squares(self, g: np.ndarray) -> float:
@@ -180,7 +187,7 @@ class _AdamW:
         summing each block's squares with numpy adds in the same order.
         """
         if g.size <= _BLOCK:
-            sq = self._bufs[0][: g.size]
+            sq = self._squares[: g.size]
             np.copyto(sq, g)
             return float(np.multiply(sq, sq, out=sq).sum())
         half = g.size // 2

@@ -442,6 +442,13 @@ def _truncated_checkpoint(run, tmp):
             "--out", tmp / "s.tsv"]
 
 
+def _checkpoint_with_trailing_bytes(run, tmp):
+    path = tmp / "trailing.ckpt"
+    path.write_bytes(run["ckpt"].read_bytes() + b"\0" * 700)
+    return ["score", "--in", run["val"], "--vocab", run["vocab"], "--checkpoint", path,
+            "--out", tmp / "s.tsv"]
+
+
 def _threshold_file(run, tmp, text):
     path = tmp / "t.json"
     path.write_text(text)
@@ -615,6 +622,7 @@ BAD_INPUTS = {
         "score", "--in", r["val"], "--vocab", r["vocab"], "--checkpoint", r["ckpt"],
         "--out", t / "s.tsv", "--mask-strategy", "random0"]),
     "truncated-checkpoint": ("MalformedInput", _truncated_checkpoint),
+    "trailing-bytes-checkpoint": ("MalformedInput", _checkpoint_with_trailing_bytes),
     "threshold-not-json": ("MalformedInput", lambda r, t: _threshold_file(r, t, "{not json")),
     "threshold-unknown-key": ("ConfigInvalid", _threshold_with_unknown_key),
     "eval-unlabeled-test": ("MalformedInput", lambda r, t: [

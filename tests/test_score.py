@@ -6,7 +6,7 @@ import pytest
 
 from masklog import score as score_mod
 from masklog.masking import RANDOM_FRACTION, TOKEN_BY_TOKEN, MaskingStrategy, plan_random, plan_token_by_token
-from masklog.model import ModelConfig, forward, init_params
+from masklog.model import ModelConfig, Parameters, forward, init_params
 from masklog.score import (
     PROB_FLOOR,
     heatmap,
@@ -106,9 +106,12 @@ class TestScoreLog:
         assert ckpt.scoring_params() is cached
         assert cached.config == ckpt.params.config
         assert set(cached.tensors) == set(ckpt.params.tensors)
-        for name, tensor in ckpt.params.items():  # a projection's padded columns sliced off
-            assert cached[name].dtype == np.float64
-            assert np.array_equal(cached[name][..., : tensor.shape[-1]], tensor)
+        for name, tensor in ckpt.params.items():
+            if name.startswith("embed."):  # gathered by rows and cast per row: the checkpoint's own arrays
+                assert cached[name] is tensor
+            else:  # a projection's padded columns sliced off
+                assert cached[name].dtype == np.float64
+                assert np.array_equal(cached[name][..., : tensor.shape[-1]], tensor)
 
     def test_monotone_in_probabilities(self):
         probs = [(0, 0.9), (1, 0.5), (2, 0.8)]
@@ -265,12 +268,15 @@ class TestBatchedScoring:
         assert len(projections) == 6 * cfg.n_layers + 1  # attn.wq/wk/wv/wo and ffn.w1/w2 per layer, and out.w
         for name, tensor in ckpt.params.items():
             copy = padded[name]
+            if name.startswith("embed."):  # the float32 tables themselves, not copies
+                assert copy is tensor and copy.dtype == np.float32, name
+                continue
             assert copy.dtype == np.float64, name
             if name in projections:
                 rows, cols = tensor.shape
                 assert copy.shape == (rows, cols + -cols % 8), name
                 assert np.array_equal(copy[:, :cols], tensor) and not copy[:, cols:].any(), name
-            else:  # biases, layer-norm vectors and embeddings are not padded
+            else:  # biases and layer-norm vectors are not padded
                 assert copy.shape == tensor.shape and np.array_equal(copy, tensor), name
         assert padded["out.w"].shape == (36, 136) and padded["layers.0.ffn.w1"].shape == (36, 56)
         assert padded["layers.0.attn.wq"].shape == (36, 40) and padded["layers.0.ffn.w2"].shape == (50, 40)
@@ -282,6 +288,22 @@ class TestBatchedScoring:
             assert out.logits.shape == ref.logits.shape and out.logits.shape[-1] == 130
             np.testing.assert_allclose(out.logits, ref.logits, rtol=0, atol=1e-12)
             np.testing.assert_allclose(out.probabilities, ref.probabilities, rtol=0, atol=1e-12)
+
+    def test_float32_embedding_tables_give_the_bits_of_float64_copies(self):
+        # The pass casts each gathered token row before it adds the position row, so
+        # the sum is formed in float64 from the same values either way.
+        cfg = ModelConfig(vocab_size=130, d_model=32, n_heads=2, n_layers=2, d_ff=48, max_len=32)
+        scoring = _untrained_checkpoint(cfg, 3).scoring_params()
+        assert scoring["embed.token"].dtype == scoring["embed.position"].dtype == np.float32
+        widened = Parameters(cfg, {name: t.astype(np.float64) if name.startswith("embed.") else t
+                                   for name, t in scoring.items()})
+        rng = np.random.default_rng(9)
+        padded = [make_seq(n, width=32, hi=130, rng=rng) for n in (7, 12, 3)]
+        unpadded = [make_seq(9, width=32, hi=130, rng=rng) for _ in range(4)]  # 2+ logs, no padding: the layer-0 share
+        for batch in (padded, unpadded, unpadded[:1]):
+            for masks in (None, [[0, s.length - 1] for s in batch]):
+                got = forward(scoring, batch, mask_positions=masks).logits
+                assert got.tobytes() == forward(widened, batch, mask_positions=masks).logits.tobytes()
 
     @pytest.mark.parametrize("length, strategy, masked", [(128, TOKEN, 128), (20, MaskingStrategy(repeats=1000), 3000)],
                              ids=["token-128", "repeats-1000"])

@@ -2,6 +2,7 @@ import importlib
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,7 +13,7 @@ import pytest
 
 import masklog
 from masklog.checkpoint import load_container, save_container
-from masklog.errors import DivergenceDetected, EmptyCorpus
+from masklog.errors import DivergenceDetected, EmptyCorpus, MalformedInput
 from masklog.masking import plan_token_by_token
 from masklog.model import ModelConfig, forward, init_params, param_table, params_digest
 from masklog.train import _BLOCK, _AdamW, TrainConfig, load_checkpoint, save_checkpoint, train
@@ -102,12 +103,15 @@ class TestTrain:
 
 
 class _ReferenceAdamW:
-    """The out-of-place AdamW formula, kept as the oracle for the in-place one."""
+    """The out-of-place whole-tensor AdamW formula in float32, kept as the oracle for the in-place one.
+
+    Only the clip norm is summed in float64.
+    """
 
     def __init__(self, tensors, cfg):
         self.cfg, self.step = cfg, 0
-        self.m = {k: np.zeros(v.shape) for k, v in tensors.items()}
-        self.v = {k: np.zeros(v.shape) for k, v in tensors.items()}
+        self.m = {k: np.zeros(v.shape, np.float32) for k, v in tensors.items()}
+        self.v = {k: np.zeros(v.shape, np.float32) for k, v in tensors.items()}
 
     def apply(self, tensors, grads):
         c = self.cfg
@@ -115,12 +119,14 @@ class _ReferenceAdamW:
         lr = c.learning_rate
         if c.warmup_steps > 0:
             lr *= min(1.0, self.step / c.warmup_steps)
-        grads = {k: g.astype(np.float64) for k, g in grads.items()}
+        scale = None
         if c.grad_clip is not None:
-            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            norm = math.sqrt(sum(float(np.square(g.astype(np.float64)).sum()) for g in grads.values()))
             if norm > c.grad_clip:
                 scale = c.grad_clip / norm
-                grads = {k: g * scale for k, g in grads.items()}
+        grads = {k: g.astype(np.float32) for k, g in grads.items()}
+        if scale is not None:
+            grads = {k: g * scale for k, g in grads.items()}
         bc1 = 1.0 - c.beta1**self.step
         bc2 = 1.0 - c.beta2**self.step
         for name, g in grads.items():
@@ -131,10 +137,10 @@ class _ReferenceAdamW:
             v *= c.beta2
             v += (1.0 - c.beta2) * g * g
             update = lr * (m / bc1) / (np.sqrt(v / bc2) + c.adam_eps)
-            w = tensors[name].astype(np.float64)
+            w = tensors[name]
             if w.ndim == 2 and c.weight_decay:
                 update = update + lr * c.weight_decay * w
-            tensors[name] = (w - update).astype(np.float32)
+            tensors[name] = w - update
 
 
 class TestAdamW:
@@ -153,7 +159,8 @@ class TestAdamW:
             opt.apply(ours, {k: g.copy() for k, g in grads.items()})
             ref_opt.apply(ref, grads)
             for name in ref:
-                assert ours[name].dtype == np.float32
+                assert ours[name].dtype == ref[name].dtype == np.float32
+                assert opt.m[name].dtype == opt.v[name].dtype == np.float32, name
                 assert ours[name].tobytes() == ref[name].tobytes(), name
                 assert opt.m[name].tobytes() == ref_opt.m[name].tobytes(), name
                 assert opt.v[name].tobytes() == ref_opt.v[name].tobytes(), name
@@ -186,6 +193,7 @@ class TestAdamW:
                 assert norm == math.sqrt(sum(float(np.multiply(g, g).sum()) for g in g64))
             for name in ref:
                 assert ours[name] is weights[name]  # written in place
+                assert opt.m[name].dtype == opt.v[name].dtype == np.float32, name
                 assert ours[name].tobytes() == ref[name].tobytes(), name
                 assert opt.m[name].tobytes() == ref_opt.m[name].tobytes(), name
                 assert opt.v[name].tobytes() == ref_opt.v[name].tobytes(), name
@@ -215,16 +223,17 @@ class TestStepMemory:
     def test_a_step_holds_the_weights_moments_one_set_of_gradients_and_one_steps_activations(self):
         """At |V| = 8,192 the traced peak of `train` stays within 25 MB of its fixed holdings.
 
-        Those are the float32 weights, the two float64 moments and one set of
-        float32 gradients: 24 bytes per parameter, 57.1 MB here. The rest is
-        one step's activations (about 17 MB on these 15-token logs). Keeping
+        Those are the float32 weights, the two float32 moments and one set of
+        float32 gradients: 16 bytes per parameter, 38.1 MB here. The rest is
+        one step's activations (about 15 MB on these 15-token logs). Keeping
         the previous step's gradients through the next backward, three
         [n_masked, |V|] arrays at once and every layer's cache to the end of
-        the backward put 44 MB above the holdings.
+        the backward put 44 MB above the holdings of float64 moments (24 bytes
+        per parameter), and float64 moments alone put 34 MB above these.
         """
         cfg = ModelConfig(vocab_size=8192, d_model=128, max_len=64)
         seqs = random_15_token_logs(cfg)
-        holdings = 24 * sum(math.prod(shape) for _, shape, _ in param_table(cfg))
+        holdings = 16 * sum(math.prod(shape) for _, shape, _ in param_table(cfg))
         tracemalloc.start()
         try:
             train(seqs, cfg, TrainConfig(epochs=1, seed=0))
@@ -290,6 +299,15 @@ class TestCheckpointFile:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_rejects_bytes_after_the_last_tensor(self, tmp_path):
+        ckpt = train(pattern_seqs(n_copies=2), SMALL_CFG, TrainConfig(epochs=1, batch_size=8, seed=8))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        with open(path, "ab") as f:
+            f.write(b"\0" * 700)
+        with pytest.raises(MalformedInput, match=f"^{re.escape(str(path))}: 700 bytes follow the last tensor$"):
             load_checkpoint(path)
 
 

@@ -10,9 +10,10 @@ second, and so on, so a machine that speeds up or slows down over the session do
 The output holds the two trees' source sha256 (as perfbench reports them), the command, the machine,
 every run's environment line and final line (`correct: false` runs included), and a summary per
 workload: for each metric the runs report (the `end_to_end` list of the change tree's BENCHMARK.json, or
-its `per_layer` list with `--trace 1`), the medians of both sides, the parent's interquartile range, in
-how many pairs the change was better, and the change's median relative to the parent's (null when the
-parent's is 0). A metric is summarised over the pairs in which both runs report it. When `--out` already
+its `per_layer` list with `--trace 1`), the medians and quartiles of both sides, the parent's interquartile
+range, in how many pairs the change was better, whether every change run was better than every parent run
+(what a claim needs when a metric's spread is wider than its bound), and the change's median relative to
+the parent's (null when the parent's is 0). A metric is summarised over the pairs in which both runs report it. When `--out` already
 exists, its runs of other workloads are kept, so one file can gather every workload; a file written with
 the other `--trace` value is refused.
 """
@@ -65,15 +66,16 @@ def run_pairs(parent: str, change: str, workload: str, seeds: list[int], seconds
     return runs
 
 
-def _iqr(values: list[float]) -> float:
+def _quartiles(values: list[float]) -> list[float]:
+    """[first quartile, third quartile]."""
     if len(values) < 2:
-        return 0.0
+        return [values[0], values[0]]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q3 - q1
+    return [q1, q3]
 
 
 def summarize(runs: list[dict], declared: list[dict]) -> dict:
-    """Per workload: the pair count and, per metric, medians, the parent's IQR, change wins and relative change."""
+    """Per workload: the pair count and, per metric, medians, quartiles, the parent's IQR, change wins and relative change."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict = {}
@@ -89,12 +91,16 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
                 continue
             old, new = [a for a, _ in both], [b for _, b in both]
             parent_median, change_median = statistics.median(old), statistics.median(new)
+            parent_quartiles = _quartiles(old)
             entry[name] = {
                 "better": better,
                 "parent_median": parent_median,
                 "change_median": change_median,
-                "parent_iqr": _iqr(old),
+                "parent_quartiles": parent_quartiles,
+                "change_quartiles": _quartiles(new),
+                "parent_iqr": parent_quartiles[1] - parent_quartiles[0],
                 "change_wins": sum((b < a) if better == "lower" else (b > a) for a, b in both),
+                "change_beats_every_parent_run": max(new) < min(old) if better == "lower" else min(new) > max(old),
                 "change_vs_parent": change_median / parent_median - 1.0 if parent_median else None,
             }
             if len(both) != len(pairs):
@@ -161,9 +167,11 @@ def main(argv=None) -> int:
     for name, stats in doc["summary"][args.workload].items():
         if isinstance(stats, dict):
             relative = "n/a" if stats["change_vs_parent"] is None else f"{stats['change_vs_parent']:+.1%}"
+            q1, q3 = stats["change_quartiles"]
             print(f"{args.workload} {name}: {stats['parent_median']:.6g} -> {stats['change_median']:.6g} "
                   f"({relative}, {stats['change_wins']}/{doc['summary'][args.workload]['pairs']} "
-                  f"wins, parent IQR {stats['parent_iqr']:.4g})")
+                  f"wins, parent IQR {stats['parent_iqr']:.4g}, change quartiles {q1:.6g}..{q3:.6g}, "
+                  f"every change run better: {'yes' if stats['change_beats_every_parent_run'] else 'no'})")
     return 0
 
 
